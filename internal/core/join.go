@@ -3,45 +3,21 @@ package core
 import "treeclock/internal/vt"
 
 // This file implements the paper's Algorithm 2: Join, MonotoneCopy and
-// the helper routines getUpdatedNodesJoin / getUpdatedNodesCopy /
-// detachNodes / attachNodes / pushChild. Three implementation choices
-// beyond the paper's pseudocode (its own implementation applies the
-// same ideas: "recursive routines have been made iterative", "two
-// arrays of length k"):
-//
-//   - Traversals are iterative with an explicit frame stack, with a
-//     fast path for leaves that skips the stack entirely.
-//   - Detachment is fused into the gather traversal: a node is unlinked
-//     from the receiver's tree the moment it is found to have
-//     progressed. This is safe because gathering walks only the source
-//     clock's links, never the receiver's, and unlinking nodes from a
-//     doubly-linked child list keeps it consistent in any order.
-//   - The gather stack records each node's new (clk, aclk, parent)
-//     while the source node is hot in cache, so the attach pass only
-//     writes to the receiver.
-//
-// All keep the operation-for-operation behaviour of Algorithm 2 (the
-// same nodes are compared, detached and attached); the model-based and
-// differential tests pin that down.
-
-// rec is one gathered node: the thread, its new time, and its position
-// in the source tree. par is none for the source's root.
-type rec struct {
-	u    vt.TID
-	par  vt.TID
-	clk  vt.Time
-	aclk vt.Time
-}
-
-// frame is one level of the iterative traversal: node u of the source,
-// the next child v of u still to examine, and u's gathered record data.
-type frame struct {
-	u    vt.TID
-	v    vt.TID
-	par  vt.TID
-	clk  vt.Time
-	aclk vt.Time
-}
+// CopyCheckMonotone. The pseudocode gathers the progressed nodes of the
+// source, detaches them from the receiver and re-attaches them in
+// source order (getUpdatedNodes*, detachNodes, attachNodes). Here the
+// three steps are one iterative pre-order walk of the source that
+// relinks each progressed node into the receiver as soon as it finds
+// it: unlinked from its old child list, inserted after a cursor under
+// its source parent, and given its new clk, aclk and parent. The
+// cursor starts at the parent's head slot and advances past each
+// insertion, so the relinked children lead the list in source
+// (descending-aclk) order, ahead of the children the receiver kept —
+// the list Algorithm 2's reverse-order pushChild builds. The walk reads
+// only the source's links, so relinking as it goes cannot disturb it.
+// It compares, relinks and counts exactly the nodes Algorithm 2 does;
+// the reference-equivalence test pins shapes and WorkStats to the
+// two-pass formulation.
 
 // Join updates the clock to the pointwise maximum with o (c ← c ⊔ o).
 //
@@ -80,14 +56,23 @@ func (c *TreeClock) Join(o *TreeClock) {
 		// protocol. Fail loudly rather than corrupt the tree.
 		panic("core: Join source knows the receiver's own thread's future")
 	}
-	s, _ := c.gatherDetach(o, none)
-	c.attach(s)
-	// Place the updated subtree under the root, at the front of its
-	// child list (its attachment time is the current root time, the
-	// largest so far, preserving the descending-aclk order).
-	c.sh[zr].aclk = c.clk[c.root]
-	c.pushChild(zr, c.root)
-	c.gather = s[:0]
+	// The updated subtree goes under the root, at the front of its
+	// child list: its attachment time is the current root time, the
+	// largest so far, preserving the descending-aclk order.
+	if c.parOf(zr) == notIn {
+		c.nodes++
+	}
+	c.move(zr, c.root, rec(c.root)+fHead, c.clk[c.root])
+	c.walk(o, none)
+	if c.stats != nil {
+		c.stats.Entries++
+		c.stats.Changed++
+	}
+	if c.parOf(c.root) != none {
+		// The walk found the receiver's own thread progressed deeper
+		// in o: the same protocol violation as above.
+		panic("core: Join source knows the receiver's own thread's future")
+	}
 }
 
 // MonotoneCopy overwrites the clock with o, assuming this ⊑ o (Lemma 2
@@ -99,11 +84,7 @@ func (c *TreeClock) MonotoneCopy(o *TreeClock) {
 		return
 	}
 	c.rev++
-	if c.root == none {
-		c.deepCopyFrom(o)
-		return
-	}
-	if c.mode == ModeDeepCopy {
+	if c.root == none || c.mode == ModeDeepCopy {
 		c.deepCopyFrom(o)
 		return
 	}
@@ -111,28 +92,41 @@ func (c *TreeClock) MonotoneCopy(o *TreeClock) {
 	if c.stats != nil {
 		c.stats.Copies++
 	}
-	oldRoot := c.root
-	s, sawOldRoot := c.gatherDetach(o, oldRoot)
-	c.attach(s)
-	c.root = o.root
-	if c.sh[c.root].par == notIn {
-		c.nodes++
+	oldRoot, zr := c.root, o.root
+	z := none // the old root, while it still has to move
+	if zr != oldRoot {
+		// The old root is linked nowhere; point its links at the dummy
+		// so the walk can unlink it like any other node. The new root
+		// is unlinked from its list but keeps its own, now meaningless,
+		// sibling links (see Save).
+		z = oldRoot
+		b := rec(oldRoot)
+		c.sh[b+fNxt], c.sh[b+fPprev] = int32(none), 0
+		c.unlink(rec(zr))
+		if c.parOf(zr) == notIn {
+			c.nodes++
+		}
+		c.sh[rec(zr)+fPar] = int32(none)
+		c.root = zr
 	}
-	c.sh[c.root].par = none
-	if !sawOldRoot && oldRoot != c.root {
-		// Defensive: the traversal never visited the old root, which
-		// would leave it dangling. Under the paper's protocols this
-		// cannot happen (the old root is always reachable before any
-		// sibling break — see Lemma 5); re-attach it conservatively
-		// under the new root. An inflated attachment time only makes
-		// future traversals prune less, never incorrectly.
-		c.sh[oldRoot].aclk = c.clk[c.root]
-		c.pushChild(oldRoot, c.root)
+	if c.stats != nil {
+		c.stats.Entries++
+		if c.clk[zr] != o.clk[zr] {
+			c.stats.Changed++
+		}
+	}
+	if c.walk(o, z) {
+		// Defensive: the walk never visited the old root, which would
+		// leave it dangling. Under the paper's protocols this cannot
+		// happen (the old root is always reachable before any sibling
+		// break — see Lemma 5); re-attach it conservatively under the
+		// new root. An inflated attachment time only makes future
+		// traversals prune less, never incorrectly.
+		c.move(z, zr, rec(zr)+fHead, c.clk[zr])
 		if c.stats != nil {
 			c.stats.ForcedRootAttach++
 		}
 	}
-	c.gather = s[:0]
 }
 
 // CopyCheckMonotone overwrites the clock with o without assuming
@@ -153,166 +147,126 @@ func (c *TreeClock) CopyCheckMonotone(o *TreeClock) bool {
 	return false
 }
 
-// gatherDetach performs the pre-order traversal of o, collecting in
-// post-order (parents after their descendants) the threads that have
-// progressed in o relative to c, and unlinking each from c's tree as it
-// is found (getUpdatedNodesJoin/getUpdatedNodesCopy + detachNodes).
+// walk relinks into c every node of o that has progressed relative to
+// c, in one pre-order traversal of o, and gives o's root its new time.
+// The caller has already placed o's root. For MonotoneCopy, z names the
+// old root, which moves to its place in o even when it has not
+// progressed (Algorithm 2, line 67) and is not descended into then;
+// Join passes none. The result reports whether z was left unvisited.
 //
-// For MonotoneCopy, z names c's current root: it is gathered even when
-// unprogressed so it can be repositioned to mirror o's shape
-// (Algorithm 2, line 67); Join passes z == none. The second result
-// reports whether z was gathered (always true for Join).
-func (c *TreeClock) gatherDetach(o *TreeClock, z vt.TID) ([]rec, bool) {
-	s := c.gather[:0]
-	fs := c.frames[:0]
+// The walk needs no stack. A node the walk descends into keeps its old
+// receiver time until its child list is done — the time the
+// indirect-monotonicity break compares against — and only then takes
+// its new one; the walk then climbs to the node's parent in o and
+// resumes after it.
+func (c *TreeClock) walk(o *TreeClock, z vt.TID) bool {
 	noBreak := c.mode == ModeNoIndirectBreak
 	cclk, csh := c.clk, c.sh
 	oclk, osh := o.clk, o.sh
-	st := c.stats
-	var entries uint64
+	var examined, moved, same uint64
 
-	croot := c.root
 	zr := o.root
-	c.detach(zr)
-	if z == zr {
-		z = none // the roots coincide: nothing to reposition
-	}
-	fs = append(fs, frame{u: zr, v: osh[zr].head, par: none, clk: oclk[zr]})
-outer:
-	for len(fs) > 0 {
-		f := &fs[len(fs)-1]
-		u, v := f.u, f.v
-		uclk := cclk[u]
-		for v != none {
-			entries++
-			vclk := oclk[v]
-			ov := &osh[v]
-			if cclk[v] < vclk {
-				// v has progressed: unlink it from c (direct
-				// monotonicity covers the skipped case, not this
-				// one).
-				cv := &csh[v]
-				if cv.par != notIn && v != croot {
-					if cv.prv == none {
-						csh[cv.par].head = cv.nxt
-					} else {
-						csh[cv.prv].nxt = cv.nxt
-					}
-					if cv.nxt != none {
-						csh[cv.nxt].prv = cv.prv
-					}
-				}
-				if v == z {
-					z = none
-				}
-				if ov.head == none {
-					// Leaf: gather immediately, no frame needed.
-					s = append(s, rec{u: v, par: u, clk: vclk, aclk: ov.aclk})
-					v = ov.nxt
-					continue
-				}
-				f.v = ov.nxt
-				fs = append(fs, frame{u: v, v: ov.head, par: u, clk: vclk, aclk: ov.aclk})
-				continue outer
-			}
-			if v == z {
-				// The old root must move even though it has not
-				// progressed (line 67). It is c's root, so it is
-				// not linked anywhere and needs no detach.
-				s = append(s, rec{u: v, par: u, clk: vclk, aclk: ov.aclk})
-				z = none
-			}
-			if !noBreak && ov.aclk <= uclk {
-				// c already knows u at v's attachment time, so it
-				// knows every later sibling too (indirect
-				// monotonicity): stop scanning.
+	u := zr
+	v := vt.TID(osh[rec(u)+fHead])
+	cur, uclk := rec(u)+fHead, cclk[u]
+	for {
+		if v == none {
+			// u's child list is done: u takes its new time, and the
+			// scan resumes in u's parent right after u. The parent is
+			// read from c, where the descent wrote it, so even a
+			// corrupt restored source cannot send the climb astray.
+			cclk[u] = oclk[u]
+			if u == zr {
 				break
 			}
-			v = ov.nxt
+			b := rec(u)
+			v, cur = vt.TID(osh[b+fNxt]), b+fNxt
+			u = vt.TID(csh[b+fPar])
+			uclk = cclk[u]
+			continue
 		}
-		s = append(s, rec{u: u, par: f.par, clk: f.clk, aclk: f.aclk})
-		fs = fs[:len(fs)-1]
-	}
-	if st != nil {
-		st.Entries += entries
-	}
-	c.frames = fs[:0]
-	return s, z == none
-}
-
-// detach unlinks thread v from its parent's child list in c. The root
-// is never linked in a list; absent nodes have nothing to unlink.
-func (c *TreeClock) detach(v vt.TID) {
-	csh := c.sh
-	nv := &csh[v]
-	if nv.par == notIn || v == c.root {
-		return
-	}
-	if nv.prv == none {
-		csh[nv.par].head = nv.nxt
-	} else {
-		csh[nv.prv].nxt = nv.nxt
-	}
-	if nv.nxt != none {
-		csh[nv.nxt].prv = nv.prv
-	}
-}
-
-// attach pops the gathered records in reverse order (parents before
-// their descendants), installs the new local times, and links each node
-// under the same parent as in o. Because siblings are popped in
-// ascending-aclk order and pushChild prepends, every rebuilt child list
-// ends up in descending-aclk order, and kept children (attached earlier,
-// hence with smaller attachment times — indirect monotonicity's
-// contrapositive) stay correctly behind them.
-func (c *TreeClock) attach(s []rec) {
-	st := c.stats
-	cclk, csh := c.clk, c.sh
-	for i := len(s) - 1; i >= 0; i-- {
-		r := &s[i]
-		u := r.u
-		if st != nil {
-			st.Entries++
-			if cclk[u] != r.clk {
-				st.Changed++
-			}
-		}
-		cclk[u] = r.clk
-		if p := r.par; p != none {
-			// pushChild(u, p) with the shape entry in hand.
-			nu := &csh[u]
-			if nu.par == notIn {
+		examined++
+		b := rec(v) // the same record index in both clocks
+		vclk, vold := oclk[v], cclk[v]
+		if vold < vclk || v == z {
+			// v has progressed (or is the old root): unlink it from c
+			// and insert it after the cursor under u. These are move's
+			// stores, written out because the call (move is too big to
+			// inline) costs about 15% of the kernel's time.
+			n, p := csh[b+fNxt], csh[b+fPprev]
+			csh[p] = n
+			csh[rec(vt.TID(n))+fPprev] = p
+			h := csh[cur]
+			csh[b+fNxt] = h
+			csh[rec(vt.TID(h))+fPprev] = b + fNxt
+			csh[b+fPprev] = cur
+			csh[cur] = int32(v)
+			if csh[b+fPar] == int32(notIn) {
 				c.nodes++
 			}
-			h := csh[p].head
-			nu.aclk = r.aclk
-			nu.par = p
-			nu.nxt = h
-			nu.prv = none
-			if h != none {
-				csh[h].prv = u
+			csh[b+fPar] = int32(u)
+			csh[b+fAclk] = osh[b+fAclk]
+			moved++
+			cur = b + fNxt
+			if v == z {
+				z = none
 			}
-			csh[p].head = u
+			if vold < vclk {
+				if oh := vt.TID(osh[b+fHead]); oh != none {
+					u, v, cur, uclk = v, oh, b+fHead, vold
+					continue
+				}
+				cclk[v] = vclk
+				v = vt.TID(osh[b+fNxt])
+				continue
+			}
+			// An unprogressed old root keeps its subtree: no descent,
+			// and the break test below still applies.
+			if vold == vclk {
+				same++
+			}
+			cclk[v] = vclk
 		}
-		// o's own root (par == none) is positioned by the caller:
-		// under c's root for Join, as the new root for MonotoneCopy.
+		if !noBreak && vt.Time(osh[b+fAclk]) <= uclk {
+			// c already knows u at v's attachment time, so it knows
+			// every later sibling too (indirect monotonicity): stop
+			// scanning.
+			v = none
+		} else {
+			v = vt.TID(osh[b+fNxt])
+		}
 	}
+	if st := c.stats; st != nil {
+		st.Entries += examined + moved
+		st.Changed += moved - same
+	}
+	return z != none
 }
 
-// pushChild makes u the first child of p.
-func (c *TreeClock) pushChild(u, p vt.TID) {
-	csh := c.sh
-	if csh[u].par == notIn {
-		c.nodes++
-	}
-	h := csh[p].head
-	csh[u].par = p
-	csh[u].nxt = h
-	csh[u].prv = none
-	if h != none {
-		csh[h].prv = u
-	}
-	csh[p].head = u
+// move relinks v as the child of p that follows link slot cur, attached
+// at time aclk: unlink, insert and the parent fields are all stores.
+// Node counting is the caller's.
+func (c *TreeClock) move(v, p vt.TID, cur int32, aclk vt.Time) {
+	b := rec(v)
+	c.unlink(b)
+	sh := c.sh
+	h := sh[cur]
+	sh[b+fNxt] = h
+	sh[rec(vt.TID(h))+fPprev] = b + fNxt
+	sh[b+fPprev] = cur
+	sh[cur] = int32(v)
+	sh[b+fPar] = int32(p)
+	sh[b+fAclk] = int32(aclk)
+}
+
+// unlink removes the node whose record is at b from its child list,
+// leaving the node's own links as they were. For absent nodes and
+// cleared roots both stores land in the dummy record.
+func (c *TreeClock) unlink(b int32) {
+	sh := c.sh
+	n, p := sh[b+fNxt], sh[b+fPprev]
+	sh[p] = n
+	sh[rec(vt.TID(n))+fPprev] = p
 }
 
 // deepCopyFrom overwrites c with a full structural copy of o in Θ(k).
@@ -336,9 +290,9 @@ func (c *TreeClock) deepCopyFrom(o *TreeClock) {
 	c.nodes = o.nodes
 	copy(c.clk, o.clk)
 	copy(c.sh, o.sh)
-	for t := int(o.k); t < int(c.k); t++ {
+	for t := vt.TID(o.k); t < vt.TID(c.k); t++ {
 		c.clk[t] = 0
-		c.sh[t] = shape{par: notIn, head: none, nxt: none, prv: none}
+		c.clear(t)
 	}
 }
 

@@ -8,9 +8,13 @@ import (
 // Save implements vt.Clock: the two arrays of the paper's layout plus
 // the scalars that steer future operations — root, mode, node count
 // and the foreign-entry revision counter (which the weak-order
-// quiet-release fast path reads, so it must survive a restore). The
-// scratch buffers (gather, frames) hold no state between operations
-// and are not saved.
+// quiet-release fast path reads, so it must survive a restore).
+//
+// The encoding is checkpoint format v2: per thread aclk, par, head, nxt
+// and prv, with prv derived from pprev. The root's nxt and prv carry no
+// meaning: a root promoted by MonotoneCopy keeps the sibling links it
+// had when it was unlinked, and they are written as they stand so the
+// bytes stay those of the two-pass kernel that defined the format.
 func (c *TreeClock) Save(e *ckpt.Enc) {
 	e.Int32(c.k)
 	e.Int32(int32(c.root))
@@ -20,24 +24,23 @@ func (c *TreeClock) Save(e *ckpt.Enc) {
 	for i := 0; i < int(c.k); i++ {
 		e.Svarint(int64(c.clk[i]))
 	}
-	for i := 0; i < int(c.k); i++ {
-		s := &c.sh[i]
-		e.Svarint(int64(s.aclk))
-		e.Int32(int32(s.par))
-		e.Int32(int32(s.head))
-		e.Int32(int32(s.nxt))
-		e.Int32(int32(s.prv))
+	for t := vt.TID(0); t < vt.TID(c.k); t++ {
+		e.Svarint(int64(c.aclkOf(t)))
+		e.Int32(int32(c.parOf(t)))
+		e.Int32(int32(c.headOf(t)))
+		e.Int32(int32(c.nxtOf(t)))
+		e.Int32(int32(c.prvOf(t)))
 	}
 }
 
-// loadLink decodes one tree link, rejecting anything outside the
-// sentinel range and the thread universe so a restored tree can never
-// index out of bounds.
-func loadLink(d *ckpt.Dec, k int32) vt.TID {
+// loadLink decodes one tree link, rejecting anything outside
+// [lo, k) so a restored tree can never index out of bounds: lo is
+// notIn for parents and none for the sibling and child links.
+func loadLink(d *ckpt.Dec, k int32, lo vt.TID) vt.TID {
 	t := d.Int32()
-	if t < int32(notIn) || t >= k {
-		d.Corruptf("tree link %d outside [-2, %d)", t, k)
-		return notIn
+	if t < int32(lo) || t >= k {
+		d.Corruptf("tree link %d outside [%d, %d)", t, lo, k)
+		return lo
 	}
 	return vt.TID(t)
 }
@@ -45,7 +48,9 @@ func loadLink(d *ckpt.Dec, k int32) vt.TID {
 // Load implements vt.Clock, replacing the clock's contents (Init must
 // not have attached anything the caller wants to keep). Link fields
 // are range-checked; structural garbage that survives the checksum
-// yields a wrong clock, never a panic.
+// yields a wrong clock, never a panic. Each pprev is rebuilt from the
+// saved prv: the previous sibling's nxt slot, else the parent's head
+// slot, else (roots and absent threads) the dummy.
 func (c *TreeClock) Load(d *ckpt.Dec) {
 	k := d.Int32()
 	root := d.Int32()
@@ -75,14 +80,19 @@ func (c *TreeClock) Load(d *ckpt.Dec) {
 	for i := range clk {
 		clk[i] = vt.Time(d.Svarint())
 	}
-	sh := make([]shape, k)
-	for i := range sh {
-		sh[i] = shape{
-			aclk: vt.Time(d.Svarint()),
-			par:  loadLink(d, k),
-			head: loadLink(d, k),
-			nxt:  loadLink(d, k),
-			prv:  loadLink(d, k),
+	sh := make([]int32, (k+1)*stride)
+	for t := vt.TID(0); t < vt.TID(k); t++ {
+		r := sh[rec(t):][:stride]
+		r[fAclk] = int32(d.Svarint())
+		par := loadLink(d, k, notIn)
+		r[fHead] = int32(loadLink(d, k, none))
+		r[fNxt] = int32(loadLink(d, k, none))
+		prv := loadLink(d, k, none)
+		r[fPar] = int32(par)
+		if prv != none {
+			r[fPprev] = rec(prv) + fNxt
+		} else if par >= 0 {
+			r[fPprev] = rec(par) + fHead
 		}
 	}
 	if d.Err() != nil {

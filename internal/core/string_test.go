@@ -23,9 +23,9 @@ func recursiveString(c *TreeClock) string {
 		if u == c.root {
 			out = append(out, fmt.Sprintf("(t%d, %d, _)\n", u, c.clk[u])...)
 		} else {
-			out = append(out, fmt.Sprintf("(t%d, %d, %d)\n", u, c.clk[u], c.sh[u].aclk)...)
+			out = append(out, fmt.Sprintf("(t%d, %d, %d)\n", u, c.clk[u], c.aclkOf(u))...)
 		}
-		for v := c.sh[u].head; v != none; v = c.sh[v].nxt {
+		for v := c.headOf(u); v != none; v = c.nxtOf(v) {
 			rec(v, depth+1)
 		}
 	}
@@ -125,8 +125,8 @@ func TestStringDeepChain(t *testing.T) {
 func TestNumNodesIncremental(t *testing.T) {
 	scan := func(c *TreeClock) int {
 		n := 0
-		for t := int32(0); t < c.k; t++ {
-			if c.sh[t].par != notIn {
+		for t := vt.TID(0); t < vt.TID(c.k); t++ {
+			if c.parOf(t) != notIn {
 				n++
 			}
 		}

@@ -15,12 +15,23 @@
 //     time, so as soon as a child's attachment time is already known to
 //     the target, all later siblings are known too and scanning stops.
 //
+// Join and MonotoneCopy are one pre-order walk of the source that
+// relinks each progressed node into the receiver the moment it finds
+// it (join.go), so their cost is the entries they examine and change:
+// no gather buffer, no second pass, no stack.
+//
 // The layout follows the paper's implementation note ("two arrays of
-// length k"): timestamps live in a dense array indexed by thread id,
-// exactly like a vector clock, and the tree shape (attachment times and
-// intrusive child-list links, kept in descending-aclk order) lives in a
-// second array. The thread map is the array index. All traversals are
-// iterative.
+// length k"), at 24 bytes per thread. Timestamps live in a dense clk
+// array indexed by thread id, exactly like a vector clock, so
+// VectorView is free. The tree shape lives in one flat int32 array of
+// five-field records, one per thread, behind a leading dummy record
+// that stands for none. A record holds the attachment time, the
+// parent, and hlist-style child links: head (first child), nxt (next
+// sibling) and pprev, the index of the link slot that points at the
+// node — its parent's head or its previous sibling's nxt. Because a
+// missing neighbour is the dummy, unlinking and inserting a node are
+// unconditional stores; absent nodes and Init roots point pprev at the
+// dummy as well, so unlinking them is a harmless write into it.
 //
 // # The Grow contract
 //
@@ -43,9 +54,23 @@ import (
 
 // Sentinels used in the link fields.
 const (
-	none  vt.TID = -1 // absent link / root parent
-	notIn vt.TID = -2 // thread not yet present in the tree
+	none  vt.TID = -1 // absent link / root parent (the dummy record)
+	notIn vt.TID = -2 // parent of a thread not present in the tree
 )
+
+// Fields of one record in the shape array.
+const (
+	fHead  = iota // first child (largest aclk), none if leaf
+	fNxt          // next sibling (smaller aclk), none at the end
+	fPprev        // index in sh of the link slot pointing at this node
+	fPar          // parent; none for the root, notIn if absent
+	fAclk         // parent's time when this node was attached
+	stride        // int32s per record
+)
+
+// rec returns the index of thread t's record in the shape array;
+// rec(none) is the dummy record at index 0.
+func rec(t vt.TID) int32 { return int32(t)*stride + stride }
 
 // Mode selects an ablation variant of the data structure. The default
 // (ModeFull) is the paper's algorithm; the other modes disable one of
@@ -64,16 +89,6 @@ const (
 	ModeDeepCopy
 )
 
-// shape is the tree-shape half of one entry: attachment time and the
-// intrusive child-list links. Thread identity is the array index.
-type shape struct {
-	aclk vt.Time // parent's time when this node was attached
-	par  vt.TID  // parent thread; none for the root; notIn if absent
-	head vt.TID  // first child (largest aclk), none if leaf
-	nxt  vt.TID  // next sibling (smaller aclk), none at end
-	prv  vt.TID  // previous sibling, none at front
-}
-
 // TreeClock is a tree clock over a fixed universe of k threads.
 // It implements vt.Clock[*TreeClock].
 //
@@ -87,19 +102,11 @@ type TreeClock struct {
 	mode  Mode
 	nodes int32 // threads present in the tree, maintained on attach
 
-	// Following the paper's implementation note, the clock is "two
-	// arrays of length k": clk holds the integer timestamps exactly
-	// like a vector clock (hot, dense — the entire array spans a
-	// handful of cache lines), and sh encodes the tree shape (touched
-	// only for nodes being repositioned).
+	// clk holds the integer timestamps exactly like a vector clock
+	// (hot, dense); sh holds the shape records, (k+1)*stride int32s
+	// (see the package comment), touched only for nodes that move.
 	clk []vt.Time
-	sh  []shape
-
-	// Scratch buffers reused across operations so that steady-state
-	// joins and copies allocate nothing. Their element types are
-	// defined alongside the traversal in join.go.
-	gather []rec
-	frames []frame
+	sh  []int32
 
 	// rev advances whenever a foreign entry may have changed (see
 	// vt.Clock.Rev). Inc and Grow leave it alone: they never touch a
@@ -123,15 +130,12 @@ func New(k int, stats *vt.WorkStats) *TreeClock {
 		panic("core: tree clock needs a non-negative thread count")
 	}
 	c := &TreeClock{
-		k:     int32(k),
 		root:  none,
-		clk:   make([]vt.Time, k),
-		sh:    make([]shape, k),
+		clk:   make([]vt.Time, 0, k),
+		sh:    make([]int32, stride, (k+1)*stride),
 		stats: stats,
 	}
-	for i := range c.sh {
-		c.sh[i] = shape{par: notIn, head: none, nxt: none, prv: none}
-	}
+	c.Grow(k)
 	return c
 }
 
@@ -161,11 +165,18 @@ func (c *TreeClock) Grow(k int) {
 		return
 	}
 	c.clk = vt.GrowSlice(c.clk, k)
-	c.sh = vt.GrowSlice(c.sh, k)
-	for i := int(c.k); i < k; i++ {
-		c.sh[i] = shape{par: notIn, head: none, nxt: none, prv: none}
+	c.sh = vt.GrowSlice(c.sh, (k+1)*stride)
+	for t := vt.TID(c.k); t < vt.TID(k); t++ {
+		c.clear(t)
 	}
 	c.k = int32(k)
+}
+
+// clear resets t's record to the absent state: no parent, no links,
+// and pprev at the dummy, so an unconditional unlink is harmless.
+func (c *TreeClock) clear(t vt.TID) {
+	r := c.sh[rec(t):][:stride]
+	r[fHead], r[fNxt], r[fPprev], r[fPar], r[fAclk] = int32(none), int32(none), 0, int32(notIn), 0
 }
 
 // Root returns the thread at the root, or vt.None for an empty clock.
@@ -180,7 +191,7 @@ func (c *TreeClock) Init(t vt.TID) {
 	}
 	c.Grow(int(t) + 1)
 	c.root = t
-	c.sh[t].par = none
+	c.sh[rec(t)+fPar] = int32(none)
 	c.nodes++
 }
 
@@ -220,39 +231,30 @@ func (c *TreeClock) Inc(t vt.TID, d vt.Time) {
 // ≤ clk(t)). Releasing the root (the owning thread) panics; absent or
 // out-of-capacity slots are a no-op.
 func (c *TreeClock) ReleaseSlot(t vt.TID) {
-	if int(t) < 0 || int(t) >= int(c.k) || c.sh[t].par == notIn {
+	if t < 0 || int(t) >= int(c.k) || c.parOf(t) == notIn {
 		return
 	}
 	if t == c.root {
 		panic("core: ReleaseSlot on the clock's own thread")
 	}
-	st := c.sh[t]
-	last := st.head
-	for v := st.head; v != none; v = c.sh[v].nxt {
-		c.sh[v].par = st.par
-		c.sh[v].aclk = st.aclk
-		last = v
-	}
-	first := st.head
-	if first == none { // leaf: the splice degenerates to an unlink
-		first, last = st.nxt, st.prv
-	} else {
-		c.sh[first].prv = st.prv
-		c.sh[last].nxt = st.nxt
-		if st.nxt != none {
-			c.sh[st.nxt].prv = last
+	sh := c.sh
+	b := rec(t)
+	// tail is the link slot that must receive t's successor: t's own
+	// slot for a leaf, else the last child's nxt.
+	tail := sh[b+fPprev]
+	if h := sh[b+fHead]; h != int32(none) {
+		sh[tail] = h
+		sh[rec(vt.TID(h))+fPprev] = tail
+		for v := vt.TID(h); v != none; v = vt.TID(sh[rec(v)+fNxt]) {
+			sh[rec(v)+fPar], sh[rec(v)+fAclk] = sh[b+fPar], sh[b+fAclk]
+			tail = rec(v) + fNxt
 		}
 	}
-	if st.prv != none {
-		c.sh[st.prv].nxt = first
-	} else {
-		c.sh[st.par].head = first
-	}
-	if st.head == none && st.nxt != none { // leaf unlink: fix the right link
-		c.sh[st.nxt].prv = st.prv
-	}
+	n := sh[b+fNxt]
+	sh[tail] = n
+	sh[rec(vt.TID(n))+fPprev] = tail
 	c.clk[t] = 0
-	c.sh[t] = shape{par: notIn, head: none, nxt: none, prv: none}
+	c.clear(t)
 	c.nodes--
 	c.rev++
 }
@@ -281,10 +283,26 @@ func (c *TreeClock) Vector(dst vt.Vector) vt.Vector {
 func (c *TreeClock) VectorView() []vt.Time { return c.clk }
 
 // NumNodes returns how many threads are present in the tree. The count
-// is maintained incrementally as nodes are attached (a node, once
-// present, never leaves the tree), so the call is O(1) — it sits on
-// stats paths that may run per event.
+// is maintained incrementally as nodes are attached and released, so
+// the call is O(1) — it sits on stats paths that may run per event.
 func (c *TreeClock) NumNodes() int { return int(c.nodes) }
+
+// Shape accessors in thread-id terms, for the checkpoint codec,
+// Validate, String and tests.
+func (c *TreeClock) parOf(t vt.TID) vt.TID   { return vt.TID(c.sh[rec(t)+fPar]) }
+func (c *TreeClock) headOf(t vt.TID) vt.TID  { return vt.TID(c.sh[rec(t)+fHead]) }
+func (c *TreeClock) nxtOf(t vt.TID) vt.TID   { return vt.TID(c.sh[rec(t)+fNxt]) }
+func (c *TreeClock) aclkOf(t vt.TID) vt.Time { return vt.Time(c.sh[rec(t)+fAclk]) }
+
+// prvOf derives t's previous sibling from pprev: the node whose nxt
+// slot points at t, or none when pprev is a head slot or the dummy.
+func (c *TreeClock) prvOf(t vt.TID) vt.TID {
+	p := c.sh[rec(t)+fPprev]
+	if p%stride != fNxt {
+		return none
+	}
+	return vt.TID(p/stride - 1)
+}
 
 // String renders the tree in (tid,clk,aclk) form, pre-order. The walk
 // is iterative with an explicit stack, like every other traversal in
@@ -309,12 +327,12 @@ func (c *TreeClock) String() string {
 		if f.u == c.root {
 			out = append(out, fmt.Sprintf("(t%d, %d, _)\n", f.u, c.clk[f.u])...)
 		} else {
-			out = append(out, fmt.Sprintf("(t%d, %d, %d)\n", f.u, c.clk[f.u], c.sh[f.u].aclk)...)
+			out = append(out, fmt.Sprintf("(t%d, %d, %d)\n", f.u, c.clk[f.u], c.aclkOf(f.u))...)
 		}
 		// Push children in reverse sibling order so the pre-order visit
 		// matches the child-list (descending-aclk) order.
 		mark := len(stack)
-		for v := c.sh[f.u].head; v != none; v = c.sh[v].nxt {
+		for v := c.headOf(f.u); v != none; v = c.nxtOf(v) {
 			stack = append(stack, strFrame{v, f.depth + 1})
 		}
 		for i, j := mark, len(stack)-1; i < j; i, j = i+1, j-1 {

@@ -205,16 +205,16 @@ func TestFigure2aDirectMonotonicity(t *testing.T) {
 	if c.Root() != 3 {
 		t.Fatalf("root = %d", c.Root())
 	}
-	if c.sh[3].head != 2 || c.sh[2].nxt != 1 || c.sh[1].nxt != none {
-		t.Errorf("root children = %d -> %d (want t3 then t2)\n%s", c.sh[3].head, c.sh[c.sh[3].head].nxt, c)
+	if c.headOf(3) != 2 || c.nxtOf(2) != 1 || c.nxtOf(1) != none {
+		t.Errorf("root children = %d -> %d (want t3 then t2)\n%s", c.headOf(3), c.nxtOf(c.headOf(3)), c)
 	}
-	if c.sh[2].aclk != 2 || c.sh[1].aclk != 1 {
-		t.Errorf("aclk(t3)=%d aclk(t2)=%d, want 2 and 1\n%s", c.sh[2].aclk, c.sh[1].aclk, c)
+	if c.aclkOf(2) != 2 || c.aclkOf(1) != 1 {
+		t.Errorf("aclk(t3)=%d aclk(t2)=%d, want 2 and 1\n%s", c.aclkOf(2), c.aclkOf(1), c)
 	}
-	if c.sh[1].head != 0 || c.sh[0].aclk != 1 || c.clk[0] != 1 {
-		t.Errorf("t2 subtree wrong: head=%d\n%s", c.sh[1].head, c)
+	if c.headOf(1) != 0 || c.aclkOf(0) != 1 || c.clk[0] != 1 {
+		t.Errorf("t2 subtree wrong: head=%d\n%s", c.headOf(1), c)
 	}
-	if c.sh[2].head != none {
+	if c.headOf(2) != none {
 		t.Errorf("t3 should be a leaf\n%s", c)
 	}
 }
@@ -249,17 +249,17 @@ func TestFigure2bIndirectMonotonicity(t *testing.T) {
 	if !vecOf(c).Equal(vt.Vector{1, 1, 3, 2}) {
 		t.Fatalf("t4 vector = %v, want [1, 1, 3, 2]", vecOf(c))
 	}
-	if c.sh[3].head != 2 || c.sh[2].nxt != none {
+	if c.headOf(3) != 2 || c.nxtOf(2) != none {
 		t.Fatalf("root must have the single child t3\n%s", c)
 	}
-	if c.clk[2] != 3 || c.sh[2].aclk != 2 {
-		t.Errorf("t3 node = (%d, %d), want (3, 2)\n%s", c.clk[2], c.sh[2].aclk, c)
+	if c.clk[2] != 3 || c.aclkOf(2) != 2 {
+		t.Errorf("t3 node = (%d, %d), want (3, 2)\n%s", c.clk[2], c.aclkOf(2), c)
 	}
-	if c.sh[2].head != 1 || c.sh[1].nxt != 0 || c.sh[0].nxt != none {
+	if c.headOf(2) != 1 || c.nxtOf(1) != 0 || c.nxtOf(0) != none {
 		t.Errorf("t3 children must be t2 then t1\n%s", c)
 	}
-	if c.sh[1].aclk != 2 || c.sh[0].aclk != 1 {
-		t.Errorf("aclk(t2)=%d aclk(t1)=%d, want 2 and 1\n%s", c.sh[1].aclk, c.sh[0].aclk, c)
+	if c.aclkOf(1) != 2 || c.aclkOf(0) != 1 {
+		t.Errorf("aclk(t2)=%d aclk(t1)=%d, want 2 and 1\n%s", c.aclkOf(1), c.aclkOf(0), c)
 	}
 }
 

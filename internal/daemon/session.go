@@ -19,13 +19,30 @@ import (
 )
 
 // serveSession runs one session to completion on its connection.
+//
+// The frame that ends a session (result, detached, evicted or error)
+// is written only after runSession has returned: by then the session
+// has given back its pool slot and its id, and its outcome is in the
+// stats. A client that reconnects the moment it reads that frame —
+// to resume a detached session, or to query the stats — therefore
+// never finds the old session still active.
 func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, spec *openSpec) {
-	fail := func(format string, args ...any) {
-		writeFrame(bw, frameError, []byte(fmt.Sprintf(format, args...)))
+	if typ, payload := s.runSession(br, bw, spec); typ != 0 {
+		writeFrame(bw, typ, payload)
 	}
+}
+
+// failFrame is a terminal error frame.
+func failFrame(format string, args ...any) (byte, []byte) {
+	return frameError, []byte(fmt.Sprintf(format, args...))
+}
+
+// runSession admits, opens and drives one session, and returns the
+// terminal frame for serveSession to write (type 0 when the client is
+// gone and there is nothing to write).
+func (s *Server) runSession(br *bufio.Reader, bw *bufio.Writer, spec *openSpec) (byte, []byte) {
 	if !sessionIDOK(spec.ID) {
-		fail("tcraced: bad session id %q (want 1-128 chars of [A-Za-z0-9._-], not starting with '.' or '-')", spec.ID)
-		return
+		return failFrame("tcraced: bad session id %q (want 1-128 chars of [A-Za-z0-9._-], not starting with '.' or '-')", spec.ID)
 	}
 
 	// Admission: wait for a pool slot, aborting if the daemon shuts
@@ -38,7 +55,7 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 		select {
 		case s.slots <- struct{}{}:
 		case <-s.quit:
-			return
+			return 0, nil
 		}
 	}
 	defer func() { <-s.slots }()
@@ -48,8 +65,7 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 	s.mu.Lock()
 	if _, dup := s.live[spec.ID]; dup {
 		s.mu.Unlock()
-		fail("tcraced: session %q is already active", spec.ID)
-		return
+		return failFrame("tcraced: session %q is already active", spec.ID)
 	}
 	s.live[spec.ID] = struct{}{}
 	s.mu.Unlock()
@@ -81,48 +97,46 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 	if spec.Resume {
 		data, err := os.ReadFile(spool)
 		if err != nil {
-			fail("tcraced: session %q has no resumable checkpoint: %v", spec.ID, err)
-			return
+			return failFrame("tcraced: session %q has no resumable checkpoint: %v", spec.ID, err)
 		}
 		opts = append(opts, treeclock.ResumeFrom(bytes.NewReader(data)))
 	}
 	sess, err := treeclock.Open(spec.Engine, opts...)
 	if err != nil {
-		fail("%v", err)
-		return
+		return failFrame("%v", err)
 	}
 	defer sess.Close()
 	pos, err := sess.Resumed()
 	if err != nil {
-		fail("%v", err)
-		return
+		return failFrame("%v", err)
 	}
 	payload, err := encodePos(pos, "")
 	if err != nil {
-		fail("tcraced: %v", err)
-		return
+		return failFrame("tcraced: %v", err)
 	}
 	// Register before acknowledging, so a stats query issued right
 	// after the client sees the opened frame finds the session.
 	s.stats.sessionOpened(spec, pos)
 	if writeFrame(bw, frameOpened, payload) != nil {
 		s.stats.sessionClosed(spec.ID, "disconnected")
-		return
+		return 0, nil
 	}
 	s.cfg.Logf("session %s: open engine=%s workers=%d resume=%v pos=%d", spec.ID, spec.Engine, spec.Workers, spec.Resume, pos)
-	outcome := s.feedLoop(br, bw, spec, sess, pos)
+	outcome, typ, reply := s.feedLoop(br, bw, spec, sess, pos)
 	s.stats.sessionClosed(spec.ID, outcome)
 	s.cfg.Logf("session %s: %s at %d events", spec.ID, outcome, sess.Events())
+	return typ, reply
 }
 
-// feedLoop drives one opened session until a terminal outcome; the
-// returned string is the stats-table disposition ("finished",
-// "detached", "evicted", "failed", "disconnected").
-func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, sess *treeclock.Session, pos uint64) string {
+// feedLoop drives one opened session until a terminal outcome. It
+// returns the stats-table disposition ("finished", "detached",
+// "evicted", "failed", "disconnected") and the terminal frame, which
+// the caller writes once the session is released.
+func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, sess *treeclock.Session, pos uint64) (string, byte, []byte) {
 	spool := filepath.Join(s.cfg.SpoolDir, spec.ID+".ckpt")
-	fail := func(format string, args ...any) string {
-		writeFrame(bw, frameError, []byte(fmt.Sprintf(format, args...)))
-		return "failed"
+	fail := func(format string, args ...any) (string, byte, []byte) {
+		typ, payload := failFrame(format, args...)
+		return "failed", typ, payload
 	}
 	// courtesy snapshots the session to its spool so the client (or the
 	// next daemon) can resume; best-effort on abnormal exits.
@@ -151,7 +165,7 @@ func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, se
 			// The client vanished (or the daemon is closing): leave a
 			// resumable frontier behind.
 			courtesy()
-			return "disconnected"
+			return "disconnected", 0, nil
 		}
 		switch typ {
 		case frameEvents:
@@ -174,7 +188,7 @@ func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, se
 					retained = ms.RetainedBytes
 					s.stats.sessionRetained(spec.ID, retained)
 					if s.cfg.MaxRetainedBytes > 0 && retained > s.cfg.MaxRetainedBytes {
-						return s.evict(bw, spec, sess, retained)
+						return s.evict(spec, sess, retained)
 					}
 				}
 			}
@@ -182,7 +196,7 @@ func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, se
 				nextProgress = nextMultiple(n, s.cfg.ProgressEvery)
 				if writeFrame(bw, frameProgress, encodeProgress(n, retained)) != nil {
 					courtesy()
-					return "disconnected"
+					return "disconnected", 0, nil
 				}
 			}
 		case frameFinish:
@@ -195,14 +209,12 @@ func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, se
 			if err != nil {
 				return fail("tcraced: %v", err)
 			}
-			if writeFrame(bw, frameResult, payload) != nil {
-				return "disconnected"
-			}
 			// The trace is fully analyzed; the spool frontier has
-			// nothing left to resume.
+			// nothing left to resume. The session counts as finished
+			// even if the result frame then fails to reach the client.
 			os.Remove(spool)
 			s.stats.sessionFinished(spec.ID, res.Summary.Total)
-			return "finished"
+			return "finished", frameResult, payload
 		case frameDetach:
 			var snap bytes.Buffer
 			if err := sess.Snapshot(&snap); err != nil {
@@ -225,8 +237,7 @@ func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, se
 			if err != nil {
 				return fail("tcraced: %v", err)
 			}
-			writeFrame(bw, frameDetached, payload)
-			return "detached"
+			return "detached", frameDetached, payload
 		default:
 			courtesy()
 			return fail("tcraced: unexpected frame %q in session", typ)
@@ -235,15 +246,16 @@ func (s *Server) feedLoop(br *bufio.Reader, bw *bufio.Writer, spec *openSpec, se
 }
 
 // evict ends an over-budget session: final checkpoint to the spool,
-// an evicted frame naming the resumable position and the reason, and
-// disconnection. The client resumes later (here or on another daemon
-// sharing the spool) and re-feeds from the reported position.
-func (s *Server) evict(bw *bufio.Writer, spec *openSpec, sess *treeclock.Session, retained uint64) string {
+// then an evicted frame naming the resumable position and the reason,
+// and disconnection. The client resumes later (here or on another
+// daemon sharing the spool) and re-feeds from the reported position.
+// Results are as for feedLoop.
+func (s *Server) evict(spec *openSpec, sess *treeclock.Session, retained uint64) (string, byte, []byte) {
 	spool := filepath.Join(s.cfg.SpoolDir, spec.ID+".ckpt")
 	var snap bytes.Buffer
 	if err := sess.Snapshot(&snap); err != nil {
-		writeFrame(bw, frameError, []byte(fmt.Sprintf("tcraced: evicting session %q: %v", spec.ID, err)))
-		return "failed"
+		typ, payload := failFrame("tcraced: evicting session %q: %v", spec.ID, err)
+		return "failed", typ, payload
 	}
 	wc, err := (treeclock.FileCheckpointSink{Path: spool}).Create(sess.Events())
 	if err == nil {
@@ -256,17 +268,16 @@ func (s *Server) evict(bw *bufio.Writer, spec *openSpec, sess *treeclock.Session
 		}
 	}
 	if err != nil {
-		writeFrame(bw, frameError, []byte(fmt.Sprintf("tcraced: spooling eviction checkpoint: %v", err)))
-		return "failed"
+		typ, payload := failFrame("tcraced: spooling eviction checkpoint: %v", err)
+		return "failed", typ, payload
 	}
 	reason := fmt.Sprintf("retained %d bytes over budget %d", retained, s.cfg.MaxRetainedBytes)
 	payload, perr := encodePos(sess.Events(), reason)
 	if perr != nil {
-		return "failed"
+		return "failed", 0, nil
 	}
-	writeFrame(bw, frameEvicted, payload)
 	s.cfg.Logf("session %s: evicted (%s)", spec.ID, reason)
-	return "evicted"
+	return "evicted", frameEvicted, payload
 }
 
 // encodeProgress marshals a progress notice: absolute event position
