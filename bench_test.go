@@ -1,6 +1,5 @@
 // Benchmarks regenerating the paper's evaluation, one family per table
-// and figure (see DESIGN.md §4 for the experiment index and
-// EXPERIMENTS.md for recorded paper-vs-measured comparisons).
+// and figure.
 //
 //	go test -bench=. -benchmem .
 //
@@ -45,12 +44,23 @@ func repTrace() *trace.Trace {
 	})
 }
 
+// benchRun is bench.Run for benchmarks: the harness only fails on an
+// order or clock outside the registry.
+func benchRun(b *testing.B, tr *trace.Trace, cfg bench.Config) bench.Result {
+	b.Helper()
+	r, err := bench.Run(tr, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
 func runPO(b *testing.B, tr *trace.Trace, po bench.PO, ck bench.Clock, analysis bool) {
 	b.Helper()
 	b.ReportAllocs()
 	var processing float64 // event-processing time, excluding engine setup
 	for i := 0; i < b.N; i++ {
-		r := bench.Run(tr, bench.Config{PO: po, Clock: ck, Analysis: analysis})
+		r := benchRun(b, tr, bench.Config{PO: po, Clock: ck, Analysis: analysis})
 		processing += r.Seconds()
 	}
 	b.ReportMetric(float64(tr.Len())*float64(b.N)/processing, "events/s")
@@ -111,8 +121,8 @@ func BenchmarkFig8Work(b *testing.B) {
 	tr := repTrace()
 	var tcRatio, vcRatio float64
 	for i := 0; i < b.N; i++ {
-		tc := bench.Run(tr, bench.Config{PO: bench.HB, Clock: bench.TC, Work: true})
-		vc := bench.Run(tr, bench.Config{PO: bench.HB, Clock: bench.VC, Work: true})
+		tc := benchRun(b, tr, bench.Config{PO: bench.HB, Clock: bench.TC, Work: true})
+		vc := benchRun(b, tr, bench.Config{PO: bench.HB, Clock: bench.VC, Work: true})
 		tcRatio = float64(tc.Work.Entries) / float64(tc.Work.Changed)
 		vcRatio = float64(vc.Work.Entries) / float64(vc.Work.Changed)
 	}
@@ -128,8 +138,8 @@ func BenchmarkFig9WorkRatio(b *testing.B) {
 			tr := repTrace()
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				tc := bench.Run(tr, bench.Config{PO: po, Clock: bench.TC, Work: true})
-				vc := bench.Run(tr, bench.Config{PO: po, Clock: bench.VC, Work: true})
+				tc := benchRun(b, tr, bench.Config{PO: po, Clock: bench.TC, Work: true})
+				vc := benchRun(b, tr, bench.Config{PO: po, Clock: bench.VC, Work: true})
 				ratio = float64(vc.Work.Entries) / float64(tc.Work.Entries)
 			}
 			b.ReportMetric(ratio, "VCWork/TCWork")
@@ -168,7 +178,7 @@ func BenchmarkTable1Stats(b *testing.B) {
 }
 
 // BenchmarkAblation isolates each tree-clock mechanism on the star
-// topology (DESIGN.md §4, ablation row).
+// topology.
 func BenchmarkAblation(b *testing.B) {
 	tr := cached("ablation-star", func() *trace.Trace { return gen.Star(64, 150_000, 3) })
 	modes := []struct {
@@ -184,7 +194,7 @@ func BenchmarkAblation(b *testing.B) {
 			b.ReportAllocs()
 			var processing float64
 			for i := 0; i < b.N; i++ {
-				processing += bench.Run(tr, bench.Config{PO: bench.HB, Clock: bench.TC, Mode: m.mode}).Seconds()
+				processing += benchRun(b, tr, bench.Config{PO: bench.HB, Clock: bench.TC, Mode: m.mode}).Seconds()
 			}
 			b.ReportMetric(float64(tr.Len())*float64(b.N)/processing, "events/s")
 		})
@@ -193,7 +203,7 @@ func BenchmarkAblation(b *testing.B) {
 		b.ReportAllocs()
 		var processing float64
 		for i := 0; i < b.N; i++ {
-			processing += bench.Run(tr, bench.Config{PO: bench.HB, Clock: bench.VC}).Seconds()
+			processing += benchRun(b, tr, bench.Config{PO: bench.HB, Clock: bench.VC}).Seconds()
 		}
 		b.ReportMetric(float64(tr.Len())*float64(b.N)/processing, "events/s")
 	})
@@ -309,14 +319,11 @@ func BenchmarkIngest(b *testing.B) {
 func BenchmarkMaterialized(b *testing.B) {
 	tr := streamTrace()
 	for _, info := range treeclock.EngineInfos() {
-		po, ck, ok := bench.ForNames(info.Order, info.Clock)
-		if !ok {
-			b.Fatalf("registry entry %q not known to the harness", info.Name)
-		}
+		po, ck := bench.PO(info.Order), bench.Clock(info.Clock)
 		b.Run(info.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bench.Run(tr, bench.Config{PO: po, Clock: ck, Analysis: true})
+				benchRun(b, tr, bench.Config{PO: po, Clock: ck, Analysis: true})
 			}
 			b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 		})

@@ -34,6 +34,7 @@ import (
 	"path/filepath"
 
 	"treeclock/internal/ckpt"
+	"treeclock/internal/registry"
 	"treeclock/internal/trace"
 )
 
@@ -150,7 +151,7 @@ func asCheckpointable(src trace.EventSource) (trace.CheckpointableSource, error)
 }
 
 // writeCheckpoint assembles one complete checkpoint into w.
-func writeCheckpoint(w io.Writer, name string, cfg *streamConfig, shards int, events uint64, src trace.CheckpointableSource, engines []streamEngine) error {
+func writeCheckpoint(w io.Writer, name string, cfg *streamConfig, shards int, events uint64, src trace.CheckpointableSource, engines []registry.Engine) error {
 	e := ckpt.NewEnc(w)
 	e.Header()
 	e.Begin("config")
@@ -183,7 +184,7 @@ func writeCheckpoint(w io.Writer, name string, cfg *streamConfig, shards int, ev
 // emitCheckpoint writes one checkpoint through the configured sink.
 // The bytes are assembled in scratch first so the sink only ever sees
 // a complete checkpoint.
-func emitCheckpoint(cfg *streamConfig, scratch *bytes.Buffer, name string, shards int, events uint64, src trace.CheckpointableSource, engines []streamEngine) error {
+func emitCheckpoint(cfg *streamConfig, scratch *bytes.Buffer, name string, shards int, events uint64, src trace.CheckpointableSource, engines []registry.Engine) error {
 	scratch.Reset()
 	if err := writeCheckpoint(scratch, name, cfg, shards, events, src, engines); err != nil {
 		return fmt.Errorf("treeclock: writing checkpoint at %d events: %w", events, err)
@@ -205,7 +206,7 @@ func emitCheckpoint(cfg *streamConfig, scratch *bytes.Buffer, name string, shard
 // restoreCheckpoint consumes a whole checkpoint from cfg.resume,
 // validating the configuration, fast-forwarding the source and loading
 // every engine replica. On error the run must be discarded.
-func restoreCheckpoint(cfg *streamConfig, name string, shards int, src trace.CheckpointableSource, engines []streamEngine) (events uint64, err error) {
+func restoreCheckpoint(cfg *streamConfig, name string, shards int, src trace.CheckpointableSource, engines []registry.Engine) (events uint64, err error) {
 	d := ckpt.NewDec(cfg.resume)
 	d.Header()
 	d.Begin("config")

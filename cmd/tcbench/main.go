@@ -8,9 +8,8 @@
 //	tcbench -experiment fig10 -fig10-events 1000000 -fig10-threads 10,60,110
 //
 // Experiments: table1, table2, table3, fig6, fig7, fig8, fig9, fig10,
-// ablation, stream, ingest, mem, all. Results print to stdout; see
-// EXPERIMENTS.md for the recorded paper-vs-measured comparison. The
-// stream experiment compares the one-pass streaming path (RunStream:
+// ablation, stream, ingest, mem, parallel, all. Results print to
+// stdout. The stream experiment compares the one-pass streaming path (RunStream:
 // parse + analyze with no prior metadata) against the materialized path
 // for every registry engine; with -stream-file it instead streams a
 // trace file directly. The ingest experiment compares scalar, batched
@@ -167,12 +166,11 @@ func streamExperiment(events int, file string, bin bool) {
 	fmt.Printf("Streaming vs materialized, %d events (%d threads), text %d bytes / binary %d bytes:\n",
 		tr.Len(), tr.Meta.Threads, text.Len(), binBuf.Len())
 	for _, info := range treeclock.EngineInfos() {
-		po, ck, ok := bench.ForNames(info.Order, info.Clock)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "tcbench: registry entry %q not known to the harness\n", info.Name)
+		mat, err := bench.Run(tr, bench.Config{PO: bench.PO(info.Order), Clock: bench.Clock(info.Clock), Analysis: true})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tcbench: %s: %v\n", info.Name, err)
 			os.Exit(1)
 		}
-		mat := bench.Run(tr, bench.Config{PO: po, Clock: ck, Analysis: true})
 		stream := func(r *bytes.Reader, opts ...treeclock.StreamOption) (time.Duration, *treeclock.StreamResult) {
 			start := time.Now()
 			res, err := treeclock.RunStream(info.Name, r, opts...)

@@ -13,7 +13,6 @@
 //	tcrace -workers 4 big.txt             # shard the analysis across 4 cores
 //	tcrace -pipeline 4 big.txt            # decode in a separate goroutine
 //	tcrace -progress 5000000 huge.txt     # rate reports to stderr
-//	tcrace -algo shb -clock vc < t.txt    # legacy flag spelling
 //	tcrace -checkpoint run.ckpt huge.txt  # crash-safe: periodic checkpoints
 //	tcrace -resume run.ckpt huge.txt      # continue an interrupted run
 //	tcrace -reclaim-slots churny.txt      # bounded clocks under thread churn
@@ -138,9 +137,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tcrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		engineFlag   = fs.String("engine", "", "registry engine name (see -list); overrides -algo/-clock")
-		algo         = fs.String("algo", "hb", "partial order: hb, shb, maz or wcp")
-		clock        = fs.String("clock", "tc", "clock data structure: tc (tree clock) or vc (vector clock)")
+		engineName   = fs.String("engine", "hb-tree", "registry engine name (see -list)")
 		format       = fs.String("format", "text", "trace format: text or bin")
 		work         = fs.Bool("work", false, "also report data-structure work counters")
 		samples      = fs.Int("samples", 10, "sample races to print")
@@ -189,20 +186,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 
-	name := *engineFlag
-	if name == "" {
-		suffix := "-tree"
-		switch *clock {
-		case "tc", "tree":
-		case "vc":
-			suffix = "-vc"
-		default:
-			fmt.Fprintf(stderr, "tcrace: unknown clock %q\n", *clock)
-			return exitUsage
-		}
-		name = *algo + suffix
-	}
-
 	in := stdin
 	if fs.NArg() > 0 {
 		f, err := os.Open(fs.Arg(0))
@@ -249,7 +232,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		r := &remoteRun{
 			addr:       *remote,
 			sessionID:  id,
-			engine:     name,
+			engine:     *engineName,
 			binary:     *format == "bin",
 			validate:   !*noValidate,
 			workers:    *workers,
@@ -324,12 +307,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var res *treeclock.StreamResult
 	var err error
 	if *workers == 1 {
-		res, err = treeclock.RunStream(name, in, opts...)
+		res, err = treeclock.RunStream(*engineName, in, opts...)
 	} else {
 		if *workers > 1 {
 			opts = append(opts, treeclock.WithWorkers(*workers))
 		}
-		res, err = treeclock.RunStreamParallel(name, in, opts...)
+		res, err = treeclock.RunStreamParallel(*engineName, in, opts...)
 	}
 	elapsed := time.Since(start)
 	if err != nil {

@@ -72,7 +72,7 @@ func TestExitCodes(t *testing.T) {
 		}
 	})
 	t.Run("unknown clock", func(t *testing.T) {
-		if code, _, _ := runCmd(t, cleanTrace, "-clock", "sundial"); code != exitUsage {
+		if code, _, _ := runCmd(t, cleanTrace, "-engine", "hb-sundial"); code != exitUsage {
 			t.Fatalf("unknown clock: exit %d, want %d", code, exitUsage)
 		}
 	})

@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 
+	"treeclock/internal/engine"
 	"treeclock/internal/trace"
 	"treeclock/internal/vc"
 	"treeclock/internal/wcp"
@@ -112,12 +113,12 @@ func main() {
 // state is shared across variants) over the materialized trace and
 // prints its retained critical-section state, per lock.
 func reportWCP(tr *trace.Trace) {
-	e := wcp.New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
-	e.Process(tr.Events)
-	ms := e.Sem().MemStats()
+	sem := wcp.NewSemantics[*vc.VectorClock]()
+	engine.New[*vc.VectorClock](sem, vc.Factory(nil)).Process(tr.Events)
+	ms := sem.MemStats()
 	fmt.Printf("  wcp retained:   %d history entries live (peak %d on one lock), %d compacted, %d summary vectors, ~%d bytes\n",
 		ms.HistEntries, ms.PeakLockHist, ms.DroppedEntries, ms.SummaryVectors, ms.RetainedBytes)
-	stats := e.Sem().LockHistStats()
+	stats := sem.LockHistStats()
 	if len(stats) == 0 {
 		return
 	}

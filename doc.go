@@ -82,6 +82,12 @@
 // cost in general; the multicore CI lane records the sweep
 // (cmd/tcbench -experiment parallel, BENCH_parallel.json).
 //
+// Every engine is built in one place, internal/registry: a table of
+// (order, clock) entries and one Build that binds the order's
+// Semantics plugin to the runtime over the clock's data structure.
+// Sessions and the paper harness (internal/bench) both build through
+// it, so the product path and the paper's tables run the same engines.
+//
 // Adding a new partial order is a three-step recipe: (1) write a
 // Semantics plugin in a new internal package — Read/Write hooks plus
 // whatever per-variable state the order needs, growing it on first
@@ -92,9 +98,10 @@
 // tests (the internal/hb and internal/wcp test files are templates);
 // the registry-wide harnesses — TestStreamingMatchesMaterialized,
 // TestClockVariantsByteIdentical, TestSuiteAgainstOracle — then cover
-// it automatically. (3) Register "<order>-tree"/"<order>-vc" in the
-// engine registry (stream.go) and add the order to bench.ForNames so
-// cmd/tcrace, cmd/tcbench and RunStream all pick it up.
+// it automatically. (3) Add the order's row to internal/registry:
+// "<order>-tree"/"<order>-vc" table entries plus its semantics in
+// build, and cmd/tcrace, cmd/tcbench, the daemon and RunStream all
+// pick it up.
 //
 // # Streaming analysis
 //
@@ -113,12 +120,12 @@
 // "shb-vc", "maz-tree", "maz-vc", "wcp-tree", "wcp-vc" (see Engines
 // and EngineInfos) — and the result carries the race summary, sample
 // pairs, discovered metadata and final timestamps.
-// The streaming and materialized paths are differentially tested to
-// produce identical race reports and timestamps, the tree-clock and
-// vector-clock variants of every order are pinned byte-identical, and
-// each order's engine is compared event-by-event against a
-// definition-level oracle (internal/oracle) over the whole generator
-// suite.
+// Streamed trace bytes and the paper harness's run over the
+// materialized trace are differentially tested to produce identical
+// race reports, the tree-clock and vector-clock variants of every
+// order are pinned byte-identical, and each order's engine is compared
+// event-by-event against a definition-level oracle (internal/oracle)
+// over the whole generator suite.
 //
 // # Memory model
 //
@@ -360,17 +367,16 @@
 //     the same operations (Get, Inc, Grow, Join, MonotoneCopy, ...).
 //   - Traces: Event, Trace, ParseTrace / WriteTraceText and friends,
 //     plus the streaming scanners for both formats.
-//   - Engines: RunStream with the registry for streaming use, and the
-//     pre-sized constructors NewHBTree / NewHBVector, NewSHBTree /
-//     NewSHBVector, NewMAZTree / NewMAZVector, NewWCPTree /
-//     NewWCPVector for materialized traces. Engines optionally run a
-//     FastTrack-style race analysis; WCP reports predictive races — a
-//     superset of the HB races — through the same machinery.
+//   - Engines: one way to run them — a Session over an event source,
+//     opened by registry name (see Engines). RunStream reads trace
+//     bytes, RunStreamSource takes any EventSource, including a
+//     TraceReplayer over a materialized trace. Engines optionally run
+//     a FastTrack-style race analysis; WCP reports predictive races —
+//     a superset of the HB races — through the same machinery.
 //   - Workload generators (GenerateMixed, scenario generators) and the
 //     experiment harness behind cmd/tcbench, which regenerates every
-//     table and figure of the paper (see DESIGN.md and EXPERIMENTS.md)
-//     and compares the streaming and materialized paths (-experiment
-//     stream).
+//     table and figure of the paper and compares streaming trace bytes
+//     against replaying the materialized trace (-experiment stream).
 //
 // # Quickstart
 //
@@ -383,7 +389,7 @@
 //		fmt.Println(race)
 //	}
 //
-// Or, materialized:
+// Or, materialized — the same engine over a replayed trace:
 //
 //	tr, _ := treeclock.ParseTraceString(`
 //	t0 acq l0
@@ -391,10 +397,11 @@
 //	t0 rel l0
 //	t1 r x0
 //	`)
-//	e := treeclock.NewHBTree(tr.Meta)
-//	det := e.EnableRaceDetection()
-//	e.Process(tr.Events)
-//	for _, race := range det.Acc.Samples {
+//	res, err := treeclock.RunStreamSource("hb-tree", treeclock.NewTraceReplayer(tr))
+//	if err != nil {
+//		log.Fatal(err)
+//	}
+//	for _, race := range res.Samples {
 //		fmt.Println(race)
 //	}
 //

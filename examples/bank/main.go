@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"treeclock"
 )
@@ -97,26 +98,36 @@ func main() {
 	fmt.Printf("bank simulation: %d events, %d tellers + 1 auditor, %d accounts\n",
 		stats.Events, tellers, accounts)
 
-	engine := treeclock.NewSHBTree(tr.Meta)
-	det := engine.EnableRaceDetection()
-	engine.Process(tr.Events)
+	res, err := treeclock.RunStreamSource("shb-tree", treeclock.NewTraceReplayer(tr))
+	if err != nil {
+		panic(err)
+	}
 
-	sum := det.Acc.Summary()
+	sum := res.Summary
 	if sum.Total == 0 {
 		fmt.Println("no races found")
 		return
 	}
 	fmt.Printf("found %d racy pairs on %d account(s) — the unlocked fast-path deposit:\n",
 		sum.Total, sum.Vars)
-	for i, race := range det.Acc.Samples {
+	for i, race := range res.Samples {
 		if i == 6 {
 			fmt.Println("  ...")
 			break
 		}
 		fmt.Println(" ", race)
 	}
+	// Every pair is retained as a sample here (far fewer than the
+	// sample cap), so the samples name every account involved.
 	fmt.Println("\naccounts involved:")
-	for x := range det.Acc.RacyVars() {
+	var accounts []int32
+	for _, race := range res.Samples {
+		if !slices.Contains(accounts, race.Var) {
+			accounts = append(accounts, race.Var)
+		}
+	}
+	slices.Sort(accounts)
+	for _, x := range accounts {
 		fmt.Printf("  account %d\n", x)
 	}
 }

@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"treeclock"
@@ -15,12 +16,15 @@ import (
 
 const eventsPerTrace = 200_000
 
+// run times the pure HB computation (no race analysis) over the trace.
 func run(tr *treeclock.Trace, useTree bool) time.Duration {
-	start := time.Now()
+	engine := "hb-vc"
 	if useTree {
-		treeclock.NewHBTree(tr.Meta).Process(tr.Events)
-	} else {
-		treeclock.NewHBVector(tr.Meta).Process(tr.Events)
+		engine = "hb-tree"
+	}
+	start := time.Now()
+	if _, err := treeclock.RunStreamSource(engine, treeclock.NewTraceReplayer(tr), treeclock.StreamNoAnalysis()); err != nil {
+		log.Fatalf("%s: %v", engine, err)
 	}
 	return time.Since(start)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"treeclock/internal/gen"
+	"treeclock/internal/trace"
 )
 
 // tinyOpts keeps harness tests fast: small suite scale, one repeat,
@@ -19,12 +20,21 @@ func tinyOpts() Options {
 	}
 }
 
+func mustRun(t *testing.T, tr *trace.Trace, cfg Config) Result {
+	t.Helper()
+	r, err := Run(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestRunAllCombinations(t *testing.T) {
 	tr := gen.Mixed(gen.Config{Name: "combo", Threads: 6, Locks: 3, Vars: 32, Events: 3000, Seed: 1, SyncFrac: 0.3})
 	for _, po := range POs {
 		for _, ck := range []Clock{TC, VC} {
 			for _, an := range []bool{false, true} {
-				r := Run(tr, Config{PO: po, Clock: ck, Analysis: an, Work: true})
+				r := mustRun(t, tr, Config{PO: po, Clock: ck, Analysis: an, Work: true})
 				if r.Events != tr.Len() {
 					t.Errorf("%v/%v: events = %d, want %d", po, ck, r.Events, tr.Len())
 				}
@@ -42,8 +52,8 @@ func TestRunAllCombinations(t *testing.T) {
 func TestRunVTWorkAgreesAcrossClocks(t *testing.T) {
 	tr := gen.Mixed(gen.Config{Name: "w", Threads: 8, Locks: 4, Vars: 64, Events: 5000, Seed: 2, SyncFrac: 0.25})
 	for _, po := range POs {
-		tc := Run(tr, Config{PO: po, Clock: TC, Work: true})
-		vc := Run(tr, Config{PO: po, Clock: VC, Work: true})
+		tc := mustRun(t, tr, Config{PO: po, Clock: TC, Work: true})
+		vc := mustRun(t, tr, Config{PO: po, Clock: VC, Work: true})
 		if tc.Work.Changed != vc.Work.Changed {
 			t.Errorf("%v: VTWork differs: %d vs %d", po, tc.Work.Changed, vc.Work.Changed)
 		}
@@ -57,8 +67,8 @@ func TestRunVTWorkAgreesAcrossClocks(t *testing.T) {
 func TestRunAnalysisPairsAgreeAcrossClocks(t *testing.T) {
 	tr := gen.ReadersWriters(8, 4000, 3, true)
 	for _, po := range POs {
-		tc := Run(tr, Config{PO: po, Clock: TC, Analysis: true})
-		vc := Run(tr, Config{PO: po, Clock: VC, Analysis: true})
+		tc := mustRun(t, tr, Config{PO: po, Clock: TC, Analysis: true})
+		vc := mustRun(t, tr, Config{PO: po, Clock: VC, Analysis: true})
 		if tc.Pairs != vc.Pairs {
 			t.Errorf("%v: pair counts differ: %d vs %d", po, tc.Pairs, vc.Pairs)
 		}
@@ -70,24 +80,32 @@ func TestRunAnalysisPairsAgreeAcrossClocks(t *testing.T) {
 
 func TestRunMeanAverages(t *testing.T) {
 	tr := gen.SingleLock(4, 2000, 4)
-	r := RunMean(tr, Config{PO: HB, Clock: TC}, 3)
+	r, err := RunMean(tr, Config{PO: HB, Clock: TC}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Elapsed <= 0 {
 		t.Error("mean elapsed must be positive")
 	}
 }
 
-func TestRunPanicsOnBadPO(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad PO must panic")
-		}
-	}()
+// TestRunErrorsOnBadPO pins that an order or clock outside the
+// registry fails the run with an error rather than a panic.
+func TestRunErrorsOnBadPO(t *testing.T) {
 	tr := gen.SingleLock(2, 100, 1)
-	Run(tr, Config{PO: PO(9), Clock: TC})
+	if _, err := Run(tr, Config{PO: PO("nope"), Clock: TC}); err == nil {
+		t.Error("bad PO accepted")
+	}
+	if _, err := RunMean(tr, Config{PO: HB, Clock: Clock("sundial")}, 2); err == nil {
+		t.Error("bad clock accepted")
+	}
+	if _, err := SamplePairs(tr, PO("nope"), VC); err == nil {
+		t.Error("bad PO accepted by SamplePairs")
+	}
 }
 
 func TestStringers(t *testing.T) {
-	if HB.String() != "HB" || SHB.String() != "SHB" || MAZ.String() != "MAZ" || PO(9).String() != "PO?" {
+	if HB.String() != "HB" || SHB.String() != "SHB" || MAZ.String() != "MAZ" || PO("nope").String() != "PO?" {
 		t.Error("PO names wrong")
 	}
 	if TC.String() != "TC" || VC.String() != "VC" {

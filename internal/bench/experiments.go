@@ -80,7 +80,7 @@ func (h *Harness) Table1(w io.Writer) {
 		syncPct = append(syncPct, s.SyncPct)
 		rwPct = append(rwPct, s.RWPct)
 	}
-	fmt.Fprintln(w, "Table 1: Trace Statistics (synthetic suite; see DESIGN.md substitutions)")
+	fmt.Fprintln(w, "Table 1: Trace Statistics (synthetic suite standing in for the paper's logged traces)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "\tMin\tMax\tMean")
 	row := func(name string, xs []float64, intLike bool) {
@@ -113,8 +113,8 @@ func (h *Harness) Table3(w io.Writer) {
 
 // poPair measures one trace under one PO with both clocks.
 func (h *Harness) poPair(tr *trace.Trace, po PO, analysis bool) (tc, vc Result) {
-	tc = RunMean(tr, Config{PO: po, Clock: TC, Analysis: analysis}, h.Opts.Repeats)
-	vc = RunMean(tr, Config{PO: po, Clock: VC, Analysis: analysis}, h.Opts.Repeats)
+	tc = must(RunMean(tr, Config{PO: po, Clock: TC, Analysis: analysis}, h.Opts.Repeats))
+	vc = must(RunMean(tr, Config{PO: po, Clock: VC, Analysis: analysis}, h.Opts.Repeats))
 	return tc, vc
 }
 
@@ -215,8 +215,8 @@ func (h *Harness) Figure8(w io.Writer) {
 	fmt.Fprintln(tw, "Benchmark\tVTWork\tTCWork/VTWork\tVCWork/VTWork")
 	maxTC := 0.0
 	for _, tr := range h.Suite() {
-		tc := Run(tr, Config{PO: HB, Clock: TC, Work: true})
-		vcr := Run(tr, Config{PO: HB, Clock: VC, Work: true})
+		tc := must(Run(tr, Config{PO: HB, Clock: TC, Work: true}))
+		vcr := must(Run(tr, Config{PO: HB, Clock: VC, Work: true}))
 		vtw := float64(tc.Work.Changed)
 		tcRatio := float64(tc.Work.Entries) / vtw
 		vcRatio := float64(vcr.Work.Entries) / vtw
@@ -236,8 +236,8 @@ func (h *Harness) Figure9(w io.Writer) {
 	for _, po := range POs {
 		var ratios []float64
 		for _, tr := range h.Suite() {
-			tc := Run(tr, Config{PO: po, Clock: TC, Work: true})
-			vcr := Run(tr, Config{PO: po, Clock: VC, Work: true})
+			tc := must(Run(tr, Config{PO: po, Clock: TC, Work: true}))
+			vcr := must(Run(tr, Config{PO: po, Clock: VC, Work: true}))
 			ratios = append(ratios, float64(vcr.Work.Entries)/float64(tc.Work.Entries))
 		}
 		hist := stats.NewHistogram(bounds, ratios)
@@ -267,8 +267,8 @@ func (h *Harness) Figure10(w io.Writer) {
 		fmt.Fprintln(tw, "Threads\tVC (s)\tTC (s)\tVC/TC")
 		for _, k := range h.Opts.Fig10Threads {
 			tr := sc.Fn(k, h.Opts.Fig10Events, int64(k))
-			tc := RunMean(tr, Config{PO: HB, Clock: TC}, h.Opts.Repeats)
-			vcr := RunMean(tr, Config{PO: HB, Clock: VC}, h.Opts.Repeats)
+			tc := must(RunMean(tr, Config{PO: HB, Clock: TC}, h.Opts.Repeats))
+			vcr := must(RunMean(tr, Config{PO: HB, Clock: VC}, h.Opts.Repeats))
 			fmt.Fprintf(tw, "%d\t%.4f\t%.4f\t%.2f\n", k, vcr.Seconds(), tc.Seconds(), vcr.Seconds()/tc.Seconds())
 		}
 		tw.Flush()
@@ -279,7 +279,7 @@ func (h *Harness) Figure10(w io.Writer) {
 // Ablation quantifies the contribution of each tree-clock idea on the
 // star and mixed workloads: the full algorithm, joins without the
 // indirect-monotonicity break, and copies done deeply (no monotone
-// copy). This study is an extension beyond the paper (DESIGN.md §4).
+// copy). This study is an extension beyond the paper.
 func (h *Harness) Ablation(w io.Writer) {
 	workloads := []*trace.Trace{
 		gen.Star(64, h.Opts.Fig10Events, 1),
@@ -303,8 +303,8 @@ func (h *Harness) Ablation(w io.Writer) {
 		for _, m := range modes {
 			cfg := m.cfg
 			cfg.Work = true
-			r := Run(tr, cfg)
-			timedR := RunMean(tr, m.cfg, h.Opts.Repeats)
+			r := must(Run(tr, cfg))
+			timedR := must(RunMean(tr, m.cfg, h.Opts.Repeats))
 			fmt.Fprintf(tw, "%s\t%s\t%.4f\t%d\n", tr.Meta.Name, m.name, timedR.Seconds(), r.Work.Entries)
 		}
 	}

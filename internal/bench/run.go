@@ -1,8 +1,8 @@
 // Package bench is the experiment harness: it runs the HB, SHB and MAZ
-// engines over generated workloads with both clock data structures,
-// measures wall-clock time and data-structure work, and formats the
-// paper's Tables 1–3 and Figures 6–10 (plus an ablation study) as
-// text reports.
+// registry engines over generated workloads with both clock data
+// structures, measures wall-clock time and data-structure work, and
+// formats the paper's Tables 1–3 and Figures 6–10 (plus an ablation
+// study) as text reports.
 package bench
 
 import (
@@ -11,30 +11,27 @@ import (
 
 	"treeclock/internal/analysis"
 	"treeclock/internal/core"
-	"treeclock/internal/hb"
-	"treeclock/internal/maz"
-	"treeclock/internal/shb"
+	"treeclock/internal/registry"
 	"treeclock/internal/trace"
-	"treeclock/internal/vc"
 	"treeclock/internal/vt"
-	"treeclock/internal/wcp"
 )
 
-// PO selects the partial order to compute.
-type PO int
+// PO selects the partial order to compute. Its value is the order's
+// registry key, so a registry entry's Order converts to it directly.
+type PO string
 
 const (
 	// MAZ is the Mazurkiewicz partial order.
-	MAZ PO = iota
+	MAZ PO = "maz"
 	// SHB is schedulable-happens-before.
-	SHB
+	SHB PO = "shb"
 	// HB is happens-before.
-	HB
+	HB PO = "hb"
 	// WCP is the weakly-causally-precedes weak order (predictive race
 	// detection). It is not part of POs — the paper's tables cover
 	// MAZ/SHB/HB — but the stream and ingest experiments exercise it
 	// through the engine registry.
-	WCP
+	WCP PO = "wcp"
 )
 
 // POs lists the partial orders in the paper's reporting order.
@@ -55,44 +52,15 @@ func (p PO) String() string {
 	}
 }
 
-// ForNames maps an engine registry entry's order/clock names ("hb",
-// "shb", "maz" × "tree", "vc") to the harness constants, reporting
-// whether both names are known. It is the one place the string names
-// and the bench constants are tied together.
-func ForNames(order, clock string) (PO, Clock, bool) {
-	var po PO
-	switch order {
-	case "hb":
-		po = HB
-	case "shb":
-		po = SHB
-	case "maz":
-		po = MAZ
-	case "wcp":
-		po = WCP
-	default:
-		return 0, 0, false
-	}
-	var ck Clock
-	switch clock {
-	case "tree", "tc":
-		ck = TC
-	case "vc":
-		ck = VC
-	default:
-		return 0, 0, false
-	}
-	return po, ck, true
-}
-
-// Clock selects the data structure.
-type Clock int
+// Clock selects the data structure. Its value is the clock's registry
+// key, so a registry entry's Clock converts to it directly.
+type Clock string
 
 const (
 	// TC is the tree clock (the paper's contribution).
-	TC Clock = iota
+	TC Clock = "tree"
 	// VC is the flat vector clock baseline.
-	VC
+	VC Clock = "vc"
 )
 
 func (c Clock) String() string {
@@ -130,8 +98,25 @@ type Config struct {
 	Mode     TreeMode // tree-clock ablation mode (TC only)
 }
 
-// Run executes one engine over the trace and reports the measurement.
-func Run(tr *trace.Trace, cfg Config) Result {
+// Run builds the registry engine for cfg.PO over cfg.Clock, streams the
+// trace through it and reports the measurement; only the pass over the
+// trace is timed. It fails when the registry has no such engine.
+func Run(tr *trace.Trace, cfg Config) (Result, error) {
+	var st *vt.WorkStats
+	if cfg.Work {
+		st = &vt.WorkStats{}
+	}
+	e, err := build(cfg.PO, cfg.Clock, registry.Spec{Mode: cfg.Mode, Stats: st, Analysis: cfg.Analysis})
+	if err != nil {
+		return Result{}, err
+	}
+	src := trace.NewReplayer(tr)
+	start := time.Now()
+	err = e.ProcessSource(src)
+	elapsed := time.Since(start)
+	if err != nil {
+		return Result{}, err
+	}
 	res := Result{
 		Trace:    tr.Meta.Name,
 		PO:       cfg.PO,
@@ -139,117 +124,66 @@ func Run(tr *trace.Trace, cfg Config) Result {
 		Analysis: cfg.Analysis,
 		Events:   tr.Len(),
 		Threads:  tr.Meta.Threads,
+		Elapsed:  elapsed,
 	}
-	var st *vt.WorkStats
-	if cfg.Work {
-		st = &vt.WorkStats{}
-	}
-	if cfg.Clock == TC {
-		f := core.FactoryMode(st, cfg.Mode)
-		res.Elapsed, res.Pairs = dispatch(tr, cfg, f)
-	} else {
-		f := vc.Factory(st)
-		res.Elapsed, res.Pairs = dispatch(tr, cfg, f)
+	if acc := e.Acc(); acc != nil {
+		res.Pairs = acc.Total
 	}
 	if st != nil {
 		res.Work = *st
 	}
-	return res
+	return res, nil
 }
 
-// dispatch instantiates the right engine for the clock type C.
-func dispatch[C vt.Clock[C]](tr *trace.Trace, cfg Config, f vt.Factory[C]) (time.Duration, uint64) {
-	switch cfg.PO {
-	case HB:
-		e := hb.New(tr.Meta, f)
-		if cfg.Analysis {
-			det := e.EnableRaceDetection()
-			el := timed(func() { e.Process(tr.Events) })
-			return el, det.Acc.Total
-		}
-		return timed(func() { e.Process(tr.Events) }), 0
-	case SHB:
-		e := shb.New(tr.Meta, f)
-		if cfg.Analysis {
-			det := e.EnableRaceDetection()
-			el := timed(func() { e.Process(tr.Events) })
-			return el, det.Acc.Total
-		}
-		return timed(func() { e.Process(tr.Events) }), 0
-	case MAZ:
-		e := maz.New(tr.Meta, f)
-		if cfg.Analysis {
-			acc := e.EnableAnalysis()
-			el := timed(func() { e.Process(tr.Events) })
-			return el, acc.Total
-		}
-		return timed(func() { e.Process(tr.Events) }), 0
-	case WCP:
-		e := wcp.New(tr.Meta, f)
-		if cfg.Analysis {
-			acc := e.EnableAnalysis()
-			el := timed(func() { e.Process(tr.Events) })
-			return el, acc.Total
-		}
-		return timed(func() { e.Process(tr.Events) }), 0
-	default:
-		panic(fmt.Sprintf("bench: unknown partial order %d", cfg.PO))
+// build looks up the registry entry of one (order, clock) cell.
+func build(po PO, ck Clock, spec registry.Spec) (registry.Engine, error) {
+	info, ok := registry.Lookup(string(po) + "-" + string(ck))
+	if !ok {
+		return nil, fmt.Errorf("bench: no registry engine for order %q over clock %q", string(po), string(ck))
 	}
-}
-
-func timed(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
+	return registry.Build(info, spec)
 }
 
 // SamplePairs runs the analysis and returns the retained sample pairs
 // (bounded; counting in Run covers the totals).
-func SamplePairs(tr *trace.Trace, po PO, ck Clock) []analysis.Pair {
-	if ck == TC {
-		return samplePairs(tr, po, core.Factory(nil))
+func SamplePairs(tr *trace.Trace, po PO, ck Clock) ([]analysis.Pair, error) {
+	e, err := build(po, ck, registry.Spec{Analysis: true})
+	if err != nil {
+		return nil, err
 	}
-	return samplePairs(tr, po, vc.Factory(nil))
-}
-
-func samplePairs[C vt.Clock[C]](tr *trace.Trace, po PO, f vt.Factory[C]) []analysis.Pair {
-	switch po {
-	case HB:
-		e := hb.New(tr.Meta, f)
-		det := e.EnableRaceDetection()
-		e.Process(tr.Events)
-		return det.Acc.Samples
-	case SHB:
-		e := shb.New(tr.Meta, f)
-		det := e.EnableRaceDetection()
-		e.Process(tr.Events)
-		return det.Acc.Samples
-	case MAZ:
-		e := maz.New(tr.Meta, f)
-		acc := e.EnableAnalysis()
-		e.Process(tr.Events)
-		return acc.Samples
-	case WCP:
-		e := wcp.New(tr.Meta, f)
-		acc := e.EnableAnalysis()
-		e.Process(tr.Events)
-		return acc.Samples
-	default:
-		panic(fmt.Sprintf("bench: unknown partial order %d", po))
+	if err := e.ProcessSource(trace.NewReplayer(tr)); err != nil {
+		return nil, err
 	}
+	return e.Acc().Samples, nil
 }
 
 // RunMean repeats the run and returns the result with the mean elapsed
 // time (the paper averages 3 measurements).
-func RunMean(tr *trace.Trace, cfg Config, repeats int) Result {
+func RunMean(tr *trace.Trace, cfg Config, repeats int) (Result, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
-	res := Run(tr, cfg)
+	res, err := Run(tr, cfg)
+	if err != nil {
+		return Result{}, err
+	}
 	total := res.Elapsed
 	for i := 1; i < repeats; i++ {
-		total += Run(tr, cfg).Elapsed
+		r, err := Run(tr, cfg)
+		if err != nil {
+			return Result{}, err
+		}
+		total += r.Elapsed
 	}
 	res.Elapsed = total / time.Duration(repeats)
-	return res
+	return res, nil
+}
+
+// must unwraps a run of the experiments, which only ever name orders
+// and clocks the registry has.
+func must(r Result, err error) Result {
+	if err != nil {
+		panic(err)
+	}
+	return r
 }

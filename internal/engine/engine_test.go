@@ -34,8 +34,9 @@ func newRuntime[C vt.Clock[C]](t *testing.T, order string, f vt.Factory[C]) *eng
 var orders = []string{"hb", "shb", "maz"}
 
 // TestDynamicMatchesPreSized is the core streaming property: a runtime
-// that discovers every identifier on the fly computes exactly the same
-// final timestamps as one pre-sized from the trace metadata.
+// that discovers every identifier on the fly, growing its clocks as
+// threads appear, computes exactly the same final timestamps as one
+// whose clocks are all allocated at the trace's full thread capacity.
 func TestDynamicMatchesPreSized(t *testing.T) {
 	traces := []*trace.Trace{
 		gen.Mixed(gen.Config{Name: "mix", Threads: 9, Locks: 4, Vars: 24, Events: 3000, Seed: 3, SyncFrac: 0.3}),
@@ -47,7 +48,7 @@ func TestDynamicMatchesPreSized(t *testing.T) {
 			// Tree clocks.
 			dyn := newRuntime[*core.TreeClock](t, order, core.Factory(nil))
 			dyn.Process(tr.Events)
-			sized := engineWithMeta(t, order, tr.Meta)
+			sized := newRuntime[*core.TreeClock](t, order, presized(tr.Meta.Threads, core.Factory(nil)))
 			sized.Process(tr.Events)
 			if dyn.Threads() > tr.Meta.Threads {
 				t.Fatalf("%s/%s: discovered %d threads, meta says %d",
@@ -66,18 +67,11 @@ func TestDynamicMatchesPreSized(t *testing.T) {
 	}
 }
 
-func engineWithMeta(t *testing.T, order string, meta trace.Meta) *engine.Runtime[*core.TreeClock] {
-	t.Helper()
-	switch order {
-	case "hb":
-		return engine.NewWithMeta[*core.TreeClock](hb.NewSemantics[*core.TreeClock](), core.Factory(nil), meta)
-	case "shb":
-		return engine.NewWithMeta[*core.TreeClock](shb.NewSemantics[*core.TreeClock](), core.Factory(nil), meta)
-	case "maz":
-		return engine.NewWithMeta[*core.TreeClock](maz.NewSemantics[*core.TreeClock](), core.Factory(nil), meta)
-	}
-	t.Fatalf("unknown order %q", order)
-	return nil
+// presized wraps f so every clock is allocated at the trace's full
+// thread capacity k and never grows: the reference the growing
+// runtime must match.
+func presized[C vt.Clock[C]](k int, f vt.Factory[C]) vt.Factory[C] {
+	return func(n int) C { return f(max(n, k)) }
 }
 
 // TestRuntimeDiscoversIdentifiers feeds a trace whose identifiers

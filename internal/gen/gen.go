@@ -3,8 +3,7 @@
 //   - Mixed, a scheduler-based generator with tunable thread count,
 //     lock count, variable count, synchronization ratio and access
 //     locality — the workhorse behind the benchmark suite that stands
-//     in for the paper's 153 logged traces (see DESIGN.md,
-//     "Substitutions");
+//     in for the paper's 153 logged traces;
 //   - the four controlled scalability scenarios of §6 Figure 10
 //     (single lock, fifty locks skewed, star topology, pairwise
 //     communication);

@@ -14,7 +14,6 @@ package hb
 
 import (
 	"treeclock/internal/engine"
-	"treeclock/internal/trace"
 	"treeclock/internal/vt"
 )
 
@@ -38,29 +37,4 @@ func (Semantics[C]) Write(rt *engine.Runtime[C], t vt.TID, x int32, ct C) {
 	if d := rt.Detector(); d != nil {
 		d.Write(x, t, ct)
 	}
-}
-
-// Engine computes HB timestamps while streaming events. It is the
-// shared runtime bound to the HB semantics; every method (Step,
-// Process, Events, ThreadClock, Timestamp, EnableRaceDetection, ...)
-// is promoted from engine.Runtime.
-type Engine[C vt.Clock[C]] struct {
-	engine.Runtime[C]
-}
-
-// New builds an engine pre-sized for traces with the given metadata.
-// factory produces the clocks (binding an optional shared work-stats
-// sink; the capacity is supplied by the runtime).
-func New[C vt.Clock[C]](meta trace.Meta, factory vt.Factory[C]) *Engine[C] {
-	e := &Engine[C]{}
-	e.Runtime = *engine.NewWithMeta[C](Semantics[C]{}, factory, meta)
-	return e
-}
-
-// NewStreaming builds an engine that discovers the trace's identifier
-// spaces on the fly (no prior metadata).
-func NewStreaming[C vt.Clock[C]](factory vt.Factory[C]) *Engine[C] {
-	e := &Engine[C]{}
-	e.Runtime = *engine.New[C](Semantics[C]{}, factory)
-	return e
 }

@@ -5,6 +5,7 @@ import (
 
 	"treeclock/internal/analysis"
 	"treeclock/internal/core"
+	"treeclock/internal/engine"
 	"treeclock/internal/gen"
 	"treeclock/internal/oracle"
 	"treeclock/internal/trace"
@@ -22,6 +23,13 @@ func parse(t *testing.T, s string) *trace.Trace {
 		t.Fatalf("validate: %v", err)
 	}
 	return tr
+}
+
+// newEngine binds the MAZ semantics to the shared runtime, with every
+// clock allocated at the trace's full thread capacity, as for a
+// materialized trace.
+func newEngine[C vt.Clock[C]](meta trace.Meta, f vt.Factory[C]) *engine.Runtime[C] {
+	return engine.New[C](NewSemantics[C](), func(n int) C { return f(max(n, meta.Threads)) })
 }
 
 func randomTraces() []*trace.Trace {
@@ -42,7 +50,7 @@ func randomTraces() []*trace.Trace {
 	return out
 }
 
-func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *Engine[C], res *oracle.Result, label string) {
+func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *engine.Runtime[C], res *oracle.Result, label string) {
 	t.Helper()
 	dst := vt.NewVector(tr.Meta.Threads)
 	for i, ev := range tr.Events {
@@ -57,8 +65,8 @@ func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *Engine[C], res
 func TestMAZMatchesOracleBothClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
 		res := oracle.Timestamps(tr, oracle.MAZ)
-		stepCompare(t, tr, New(tr.Meta, core.Factory(nil)), res, "tree clock")
-		stepCompare(t, tr, New(tr.Meta, vc.Factory(nil)), res, "vector clock")
+		stepCompare(t, tr, newEngine(tr.Meta, core.Factory(nil)), res, "tree clock")
+		stepCompare(t, tr, newEngine(tr.Meta, vc.Factory(nil)), res, "vector clock")
 	}
 }
 
@@ -66,7 +74,7 @@ func TestMAZHandComputed(t *testing.T) {
 	// Conflicting accesses are ordered by trace order even without
 	// locks; read-to-write orderings are included.
 	tr := parse(t, "t0 w x0\nt1 r x0\nt2 w x0\n")
-	e := New(tr.Meta, core.Factory(nil))
+	e := newEngine(tr.Meta, core.Factory(nil))
 	e.Process(tr.Events)
 	if got := e.Timestamp(2, vt.NewVector(3)); !got.Equal(vt.Vector{1, 1, 1}) {
 		t.Errorf("t2 timestamp = %v, want [1, 1, 1]", got)
@@ -87,8 +95,8 @@ func TestMAZNoConcurrentConflicting(t *testing.T) {
 func TestVTWorkIdenticalAcrossClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
 		var stTC, stVC vt.WorkStats
-		New(tr.Meta, core.Factory(&stTC)).Process(tr.Events)
-		New(tr.Meta, vc.Factory(&stVC)).Process(tr.Events)
+		newEngine(tr.Meta, core.Factory(&stTC)).Process(tr.Events)
+		newEngine(tr.Meta, vc.Factory(&stVC)).Process(tr.Events)
 		if stTC.Changed != stVC.Changed {
 			t.Errorf("%s: VTWork disagrees: tree %d vs vector %d", tr.Meta.Name, stTC.Changed, stVC.Changed)
 		}
@@ -150,10 +158,10 @@ func TestAnalysisMatchesOracleMirror(t *testing.T) {
 		res := oracle.Timestamps(tr, oracle.MAZ)
 		wantTotal, wantKinds := mirrorAnalysis(tr, res)
 
-		eTC := New(tr.Meta, core.Factory(nil))
+		eTC := newEngine(tr.Meta, core.Factory(nil))
 		accTC := eTC.EnableAnalysis()
 		eTC.Process(tr.Events)
-		eVC := New(tr.Meta, vc.Factory(nil))
+		eVC := newEngine(tr.Meta, vc.Factory(nil))
 		accVC := eVC.EnableAnalysis()
 		eVC.Process(tr.Events)
 
@@ -173,7 +181,7 @@ func TestAnalysisMatchesOracleMirror(t *testing.T) {
 
 func TestAnalysisOnSyncOnlyTraceIsZero(t *testing.T) {
 	tr := gen.SingleLock(6, 500, 2)
-	e := New(tr.Meta, core.Factory(nil))
+	e := newEngine(tr.Meta, core.Factory(nil))
 	acc := e.EnableAnalysis()
 	e.Process(tr.Events)
 	if acc.Total != 0 {
@@ -192,7 +200,7 @@ func TestAnalysisOnSyncOnlyTraceIsZero(t *testing.T) {
 
 func TestAnalysisFindsRacyPair(t *testing.T) {
 	tr := parse(t, "t0 w x0\nt1 w x0\nt1 r x0\nt0 w x0\n")
-	e := New(tr.Meta, core.Factory(nil))
+	e := newEngine(tr.Meta, core.Factory(nil))
 	acc := e.EnableAnalysis()
 	e.Process(tr.Events)
 	// e0-e1 (w-w, unordered before the direct edge), e1's read is by

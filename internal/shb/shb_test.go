@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"treeclock/internal/core"
+	"treeclock/internal/engine"
 	"treeclock/internal/gen"
 	"treeclock/internal/oracle"
 	"treeclock/internal/trace"
@@ -21,6 +22,13 @@ func parse(t *testing.T, s string) *trace.Trace {
 		t.Fatalf("validate: %v", err)
 	}
 	return tr
+}
+
+// newEngine binds the SHB semantics to the shared runtime, with every
+// clock allocated at the trace's full thread capacity, as for a
+// materialized trace.
+func newEngine[C vt.Clock[C]](meta trace.Meta, f vt.Factory[C]) *engine.Runtime[C] {
+	return engine.New[C](NewSemantics[C](), func(n int) C { return f(max(n, meta.Threads)) })
 }
 
 func randomTraces() []*trace.Trace {
@@ -41,7 +49,7 @@ func randomTraces() []*trace.Trace {
 	return out
 }
 
-func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *Engine[C], res *oracle.Result, label string) {
+func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *engine.Runtime[C], res *oracle.Result, label string) {
 	t.Helper()
 	dst := vt.NewVector(tr.Meta.Threads)
 	for i, ev := range tr.Events {
@@ -56,8 +64,8 @@ func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *Engine[C], res
 func TestSHBMatchesOracleBothClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
 		res := oracle.Timestamps(tr, oracle.SHB)
-		stepCompare(t, tr, New(tr.Meta, core.Factory(nil)), res, "tree clock")
-		stepCompare(t, tr, New(tr.Meta, vc.Factory(nil)), res, "vector clock")
+		stepCompare(t, tr, newEngine(tr.Meta, core.Factory(nil)), res, "tree clock")
+		stepCompare(t, tr, newEngine(tr.Meta, vc.Factory(nil)), res, "vector clock")
 	}
 }
 
@@ -65,7 +73,7 @@ func TestSHBHandComputed(t *testing.T) {
 	// The last-write edge orders t0's write before t1's read even
 	// without any lock.
 	tr := parse(t, "t0 w x0\nt1 r x0\nt1 w x1\nt0 r x1\n")
-	e := New(tr.Meta, core.Factory(nil))
+	e := newEngine(tr.Meta, core.Factory(nil))
 	e.Process(tr.Events)
 	if got := e.Timestamp(0, vt.NewVector(2)); !got.Equal(vt.Vector{2, 2}) {
 		t.Errorf("t0 timestamp = %v, want [2, 2]", got)
@@ -78,8 +86,8 @@ func TestSHBHandComputed(t *testing.T) {
 func TestVTWorkIdenticalAcrossClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
 		var stTC, stVC vt.WorkStats
-		New(tr.Meta, core.Factory(&stTC)).Process(tr.Events)
-		New(tr.Meta, vc.Factory(&stVC)).Process(tr.Events)
+		newEngine(tr.Meta, core.Factory(&stTC)).Process(tr.Events)
+		newEngine(tr.Meta, vc.Factory(&stVC)).Process(tr.Events)
 		if stTC.Changed != stVC.Changed {
 			t.Errorf("%s: VTWork disagrees: tree %d vs vector %d", tr.Meta.Name, stTC.Changed, stVC.Changed)
 		}
@@ -96,7 +104,7 @@ func TestVTWorkIdenticalAcrossClocks(t *testing.T) {
 func TestDeepCopiesEqualWWRaces(t *testing.T) {
 	for _, tr := range randomTraces() {
 		var st vt.WorkStats
-		e := New(tr.Meta, core.Factory(&st))
+		e := newEngine(tr.Meta, core.Factory(&st))
 		det := e.EnableRaceDetection()
 		e.Process(tr.Events)
 		if st.DeepCopies != det.Acc.ByKind[0] { // WriteWrite
@@ -129,7 +137,7 @@ func shbPreRaces(tr *trace.Trace, res *oracle.Result) map[int32]bool {
 func TestSHBRaceDetectionAgainstOracle(t *testing.T) {
 	for _, tr := range randomTraces() {
 		res := oracle.Timestamps(tr, oracle.SHB)
-		e := New(tr.Meta, core.Factory(nil))
+		e := newEngine(tr.Meta, core.Factory(nil))
 		det := e.EnableRaceDetection()
 		e.Process(tr.Events)
 
@@ -170,10 +178,10 @@ func TestSHBRaceDetectionAgainstOracle(t *testing.T) {
 
 func TestSHBRaceDetectionAgreesAcrossClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
-		eTC := New(tr.Meta, core.Factory(nil))
+		eTC := newEngine(tr.Meta, core.Factory(nil))
 		dTC := eTC.EnableRaceDetection()
 		eTC.Process(tr.Events)
-		eVC := New(tr.Meta, vc.Factory(nil))
+		eVC := newEngine(tr.Meta, vc.Factory(nil))
 		dVC := eVC.EnableRaceDetection()
 		eVC.Process(tr.Events)
 		if dTC.Acc.Summary() != dVC.Acc.Summary() {
@@ -189,7 +197,7 @@ func TestSHBRaceDetectionAgreesAcrossClocks(t *testing.T) {
 // later read by t0 races t1's write too, and SHB still sees it.
 func TestSHBDetectsRacesAfterFirst(t *testing.T) {
 	tr := parse(t, "t0 w x0\nt1 w x0\nt0 r x0\n")
-	e := New(tr.Meta, core.Factory(nil))
+	e := newEngine(tr.Meta, core.Factory(nil))
 	det := e.EnableRaceDetection()
 	e.Process(tr.Events)
 	sum := det.Acc.Summary()
@@ -200,7 +208,7 @@ func TestSHBDetectsRacesAfterFirst(t *testing.T) {
 
 func TestWellSyncedNoRaces(t *testing.T) {
 	tr := gen.ProducerConsumer(2, 2, 400, 11)
-	e := New(tr.Meta, core.Factory(nil))
+	e := newEngine(tr.Meta, core.Factory(nil))
 	det := e.EnableRaceDetection()
 	e.Process(tr.Events)
 	if det.Acc.Total != 0 {

@@ -40,7 +40,7 @@ func checkStats(t *testing.T, label string, ms engine.MemStats) {
 // behind a later compensating error, and finally checks every parked
 // history chunk holds only zero snapshots.
 func churnAccounting[C vt.Clock[C], W vt.WeakClock[W, S], S any, F vt.SnapStore[W, S]](
-	t *testing.T, label string, e *EngineOf[C, W, S, F], stale func(*S) bool, n int) {
+	t *testing.T, label string, e *testEngineOf[C, W, S, F], stale func(*S) bool, n int) {
 	t.Helper()
 	e.EnableAnalysis()
 	src := gen.Take(gen.HotLock(soakThreads, 20260807), n)
@@ -85,11 +85,11 @@ func TestWCPAccountingNeverNegativeUnderChurn(t *testing.T) {
 		n = 20_000
 	}
 	t.Run("sparse", func(t *testing.T) {
-		churnAccounting(t, "sparse", NewStreaming[*vc.VectorClock](vc.Factory(nil)),
+		churnAccounting(t, "sparse", newStreaming[*vc.VectorClock](vc.Factory(nil)),
 			func(s *vt.SparseSnap) bool { return !s.IsZero() }, n)
 	})
 	t.Run("flat", func(t *testing.T) {
-		churnAccounting(t, "flat", NewStreamingFlat[*vc.VectorClock](vc.Factory(nil)),
+		churnAccounting(t, "flat", newStreamingFlat[*vc.VectorClock](vc.Factory(nil)),
 			func(s *vt.Vector) bool { return *s != nil }, n)
 	})
 }

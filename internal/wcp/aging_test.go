@@ -25,8 +25,8 @@ import (
 func TestWCPSummaryAgingMatchesRetained(t *testing.T) {
 	var evicted uint64
 	for _, tr := range randomTraces() {
-		run := func(cap int) (*Engine[*vc.VectorClock], *analysis.Accumulator) {
-			e := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
+		run := func(cap int) (*testEngine[*vc.VectorClock], *analysis.Accumulator) {
+			e := newSized[*vc.VectorClock](tr.Meta, vc.Factory(nil))
 			e.Sem().SetSummaryCap(cap)
 			acc := e.EnableAnalysis()
 			e.Process(tr.Events)
@@ -89,7 +89,7 @@ t2 w x0
 t2 rel l0
 `)
 	res := oracle.Timestamps(tr, oracle.WCP)
-	e := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
+	e := newSized[*vc.VectorClock](tr.Meta, vc.Factory(nil))
 	e.Sem().SetSummaryCap(1)
 	stepCompare(t, tr, e, res, "aging late-thread")
 	if ms := e.Sem().MemStats(); ms.SummaryEvictions == 0 {
@@ -108,8 +108,8 @@ func TestWCPSummaryAgingChurnPlateau(t *testing.T) {
 		n = 80_000
 	}
 	const cap = 64
-	run := func(cap int) (*Engine[*vc.VectorClock], *analysis.Accumulator) {
-		e := NewStreaming[*vc.VectorClock](vc.Factory(nil))
+	run := func(cap int) (*testEngine[*vc.VectorClock], *analysis.Accumulator) {
+		e := newStreaming[*vc.VectorClock](vc.Factory(nil))
 		e.Sem().SetSummaryCap(cap)
 		acc := e.EnableAnalysis()
 		if err := e.ProcessSource(gen.Take(gen.ChurningVars(8, 256, 10, 33), n)); err != nil {

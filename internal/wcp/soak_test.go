@@ -31,7 +31,7 @@ const soakBound = 4 * soakThreads
 // returns its retained-state accounting plus the race total.
 func soakRun[C vt.Clock[C]](t *testing.T, f vt.Factory[C], n int, compact bool) (engine.MemStats, uint64) {
 	t.Helper()
-	e := NewStreaming[C](f)
+	e := newStreaming[C](f)
 	e.Sem().SetCompaction(compact)
 	acc := e.EnableAnalysis()
 	if err := e.ProcessSource(gen.Take(gen.HotLock(soakThreads, 20260730), n)); err != nil {

@@ -23,8 +23,8 @@ import (
 // (everything except the representation-specific byte/pool numbers).
 func TestWCPFlatSparseByteIdentical(t *testing.T) {
 	for _, tr := range randomTraces() {
-		sp := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
-		fl := NewFlat[*vc.VectorClock](tr.Meta, vc.Factory(nil))
+		sp := newSized[*vc.VectorClock](tr.Meta, vc.Factory(nil))
+		fl := newSizedFlat[*vc.VectorClock](tr.Meta, vc.Factory(nil))
 		aS := sp.EnableAnalysis()
 		aF := fl.EnableAnalysis()
 		k := tr.Meta.Threads
@@ -60,8 +60,8 @@ func TestWCPFlatSparseByteIdentical(t *testing.T) {
 // independently).
 func TestWCPFlatSparseAcrossClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
-		sp := New[*core.TreeClock](tr.Meta, core.Factory(nil))
-		fl := NewFlat[*core.TreeClock](tr.Meta, core.Factory(nil))
+		sp := newSized[*core.TreeClock](tr.Meta, core.Factory(nil))
+		fl := newSizedFlat[*core.TreeClock](tr.Meta, core.Factory(nil))
 		aS := sp.EnableAnalysis()
 		aF := fl.EnableAnalysis()
 		sp.Process(tr.Events)
@@ -109,8 +109,8 @@ func TestWCPThreadChurnAcrossReleases(t *testing.T) {
 	lt := tr.LocalTimes()
 	k := tr.Meta.Threads
 
-	sp := NewStreaming[*vc.VectorClock](vc.Factory(nil))
-	fl := NewStreamingFlat[*vc.VectorClock](vc.Factory(nil))
+	sp := newStreaming[*vc.VectorClock](vc.Factory(nil))
+	fl := newStreamingFlat[*vc.VectorClock](vc.Factory(nil))
 	dstS, dstF := vt.NewVector(k), vt.NewVector(k)
 	for i, ev := range tr.Events {
 		sp.Step(ev)
@@ -145,7 +145,7 @@ func TestWCPThreadChurnAcrossReleases(t *testing.T) {
 // segments of compacted history entries circulate through the shared
 // pool instead of garbage.
 func TestWCPSparsePoolRecyclesAcrossCompaction(t *testing.T) {
-	e := NewStreaming[*vc.VectorClock](vc.Factory(nil))
+	e := newStreaming[*vc.VectorClock](vc.Factory(nil))
 	if err := e.ProcessSource(gen.Take(gen.HotLock(6, 11), 30000)); err != nil {
 		t.Fatalf("stream: %v", err)
 	}

@@ -51,7 +51,7 @@ func randomTraces() []*trace.Trace {
 
 // stepCompare runs the engine event by event and compares each event's
 // WCP ∪ thread-order timestamp with the oracle's.
-func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *Engine[C], res *oracle.Result, label string) {
+func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *testEngine[C], res *oracle.Result, label string) {
 	t.Helper()
 	k := tr.Meta.Threads
 	lt := tr.LocalTimes()
@@ -69,9 +69,9 @@ func stepCompare[C vt.Clock[C]](t *testing.T, tr *trace.Trace, e *Engine[C], res
 func TestWCPMatchesOracleBothClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
 		res := oracle.Timestamps(tr, oracle.WCP)
-		eTC := New[*core.TreeClock](tr.Meta, core.Factory(nil))
+		eTC := newSized[*core.TreeClock](tr.Meta, core.Factory(nil))
 		stepCompare(t, tr, eTC, res, "tree clock")
-		eVC := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
+		eVC := newSized[*vc.VectorClock](tr.Meta, vc.Factory(nil))
 		stepCompare(t, tr, eVC, res, "vector clock")
 	}
 }
@@ -92,7 +92,7 @@ func eventIndex(tr *trace.Trace) map[vt.Epoch]int {
 func TestWCPRacesAgainstOracle(t *testing.T) {
 	for _, tr := range randomTraces() {
 		res := oracle.Timestamps(tr, oracle.WCP)
-		e := New[*core.TreeClock](tr.Meta, core.Factory(nil))
+		e := newSized[*core.TreeClock](tr.Meta, core.Factory(nil))
 		acc := e.EnableAnalysis()
 		e.Process(tr.Events)
 
@@ -130,10 +130,10 @@ func TestWCPRacesAgainstOracle(t *testing.T) {
 // shared; the HB backbone must agree too).
 func TestWCPAgreesAcrossClocks(t *testing.T) {
 	for _, tr := range randomTraces() {
-		eTC := New[*core.TreeClock](tr.Meta, core.Factory(nil))
+		eTC := newSized[*core.TreeClock](tr.Meta, core.Factory(nil))
 		aTC := eTC.EnableAnalysis()
 		eTC.Process(tr.Events)
-		eVC := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
+		eVC := newSized[*vc.VectorClock](tr.Meta, vc.Factory(nil))
 		aVC := eVC.EnableAnalysis()
 		eVC.Process(tr.Events)
 		if aTC.Summary() != aVC.Summary() {
@@ -160,7 +160,7 @@ t1 w x2
 t1 rel l0
 t1 w x0
 `)
-	e := New[*core.TreeClock](tr.Meta, core.Factory(nil))
+	e := newSized[*core.TreeClock](tr.Meta, core.Factory(nil))
 	acc := e.EnableAnalysis()
 	e.Process(tr.Events)
 	if acc.Total != 1 {
@@ -184,7 +184,7 @@ t1 w x0
 t1 r x0
 t1 rel l0
 `)
-	e := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
+	e := newSized[*vc.VectorClock](tr.Meta, vc.Factory(nil))
 	acc := e.EnableAnalysis()
 	e.Process(tr.Events)
 	if acc.Total != 0 {
@@ -193,13 +193,14 @@ t1 rel l0
 }
 
 // TestWCPStreamingMatchesPreSized: the dynamically growing runtime
-// (no metadata) computes the same report as the pre-sized one.
+// (no metadata) computes the same report as one whose clocks are all
+// allocated at the trace's full thread capacity.
 func TestWCPStreamingMatchesPreSized(t *testing.T) {
 	for _, tr := range randomTraces() {
-		sized := New[*core.TreeClock](tr.Meta, core.Factory(nil))
+		sized := newSized[*core.TreeClock](tr.Meta, core.Factory(nil))
 		aS := sized.EnableAnalysis()
 		sized.Process(tr.Events)
-		dyn := NewStreaming[*core.TreeClock](core.Factory(nil))
+		dyn := newStreaming[*core.TreeClock](core.Factory(nil))
 		aD := dyn.EnableAnalysis()
 		dyn.Process(tr.Events)
 		if aS.Summary() != aD.Summary() {
@@ -248,10 +249,10 @@ func TestWCPMalformedLockPaths(t *testing.T) {
 		}},
 	}
 	for _, tc := range traces {
-		eTC := NewStreaming[*core.TreeClock](core.Factory(nil))
+		eTC := newStreaming[*core.TreeClock](core.Factory(nil))
 		aTC := eTC.EnableAnalysis()
 		eTC.Process(tc.events)
-		eVC := NewStreaming[*vc.VectorClock](vc.Factory(nil))
+		eVC := newStreaming[*vc.VectorClock](vc.Factory(nil))
 		aVC := eVC.EnableAnalysis()
 		eVC.Process(tc.events)
 		if aTC.Summary() != aVC.Summary() {
@@ -302,7 +303,7 @@ t1 rel l0
 t1 w x1
 `)
 	res := oracle.Timestamps(tr, oracle.WCP)
-	e := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
+	e := newSized[*vc.VectorClock](tr.Meta, vc.Factory(nil))
 	stepCompare(t, tr, e, res, "rule-b chain")
 	// The rule-(b) consequence must be visible in the weak clock of the
 	// thread that releases l0 second (the text's t1, interned as thread
@@ -330,7 +331,7 @@ t2 acq l0
 t2 w x1
 t2 rel l0
 `)
-	e := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
+	e := newSized[*vc.VectorClock](tr.Meta, vc.Factory(nil))
 	e.Process(tr.Events)
 	k := tr.Meta.Threads
 	for th := 0; th < k; th++ {
@@ -390,7 +391,7 @@ t1 acq l0
 t1 rel l0
 `)
 	res := oracle.Timestamps(tr, oracle.WCP)
-	e := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
+	e := newSized[*vc.VectorClock](tr.Meta, vc.Factory(nil))
 	stepCompare(t, tr, e, res, "late-thread")
 	// The rule-(b) consequence: t1's final weak clock knows t0's first
 	// l0 release (t0@5) via the absorbed snapshot, not just the
@@ -411,8 +412,8 @@ t1 rel l0
 // absorption would be a no-op.
 func TestWCPCompactionMatchesRetained(t *testing.T) {
 	for _, tr := range randomTraces() {
-		run := func(compact bool) (*Engine[*vc.VectorClock], *analysis.Accumulator) {
-			e := New[*vc.VectorClock](tr.Meta, vc.Factory(nil))
+		run := func(compact bool) (*testEngine[*vc.VectorClock], *analysis.Accumulator) {
+			e := newSized[*vc.VectorClock](tr.Meta, vc.Factory(nil))
 			e.Sem().SetCompaction(compact)
 			acc := e.EnableAnalysis()
 			e.Process(tr.Events)
@@ -450,7 +451,7 @@ func TestWCPCompactionMatchesRetained(t *testing.T) {
 // TestWCPMemStatsAccounting sanity-checks the MemReporter numbers on a
 // draining workload.
 func TestWCPMemStatsAccounting(t *testing.T) {
-	e := NewStreaming[*vc.VectorClock](vc.Factory(nil))
+	e := newStreaming[*vc.VectorClock](vc.Factory(nil))
 	if err := e.ProcessSource(gen.Take(gen.HotLock(6, 7), 60000)); err != nil {
 		t.Fatalf("soak stream: %v", err)
 	}

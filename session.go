@@ -32,11 +32,10 @@ import (
 
 	"treeclock/internal/analysis"
 	"treeclock/internal/ckpt"
-	"treeclock/internal/core"
 	"treeclock/internal/engine"
 	"treeclock/internal/parallel"
+	"treeclock/internal/registry"
 	"treeclock/internal/trace"
-	"treeclock/internal/vc"
 )
 
 // Session lifecycle errors, pinned: these exact texts are part of the
@@ -78,7 +77,7 @@ type Session struct {
 	// engines holds one replica for the sequential path, cfg.workers
 	// replicas for the sharded one; sinks are the per-replica WorkStats
 	// accumulators the sharded path folds into cfg.stats at assembly.
-	engines  []streamEngine
+	engines  []registry.Engine
 	sinks    []WorkStats
 	parallel bool
 
@@ -112,7 +111,7 @@ func Open(engineName string, opts ...StreamOption) (*Session, error) {
 // newSession is the single construction and validation path behind
 // Open and the four RunStream* entry points.
 func newSession(engineName string, cfg streamConfig) (*Session, error) {
-	info, ok := engineRegistry[engineName]
+	info, ok := registry.Lookup(engineName)
 	if !ok {
 		return nil, fmt.Errorf("treeclock: unknown engine %q (have %v)", engineName, Engines())
 	}
@@ -144,18 +143,18 @@ func newSession(engineName string, cfg streamConfig) (*Session, error) {
 func (s *Session) buildEngines() error {
 	cfg := &s.cfg
 	if !s.parallel {
-		e, err := buildEngine(s.info, cfg, cfg.stats, nil)
+		e, err := s.buildEngine(cfg.stats, nil)
 		if err != nil {
 			return err
 		}
-		s.engines = []streamEngine{e}
+		s.engines = []registry.Engine{e}
 		return nil
 	}
 	n := cfg.workers
 	if n < 1 {
 		n = 1
 	}
-	s.engines = make([]streamEngine, n)
+	s.engines = make([]registry.Engine, n)
 	if cfg.stats != nil {
 		s.sinks = make([]WorkStats, n)
 	}
@@ -171,7 +170,7 @@ func (s *Session) buildEngines() error {
 			// still runs) but let every worker skip the gating closure.
 			owns = nil
 		}
-		e, err := buildEngine(s.info, cfg, sink, owns)
+		e, err := s.buildEngine(sink, owns)
 		if err != nil {
 			return err
 		}
@@ -180,13 +179,22 @@ func (s *Session) buildEngines() error {
 	return nil
 }
 
-// buildEngine instantiates one replica over the registry entry's clock
-// type.
-func buildEngine(info EngineInfo, cfg *streamConfig, sink *WorkStats, owns func(int32) bool) (streamEngine, error) {
-	if info.Clock == "tree" {
-		return newStreamEngine[*core.TreeClock](info.Order, core.Factory(sink), cfg, owns)
+// buildEngine builds one replica from the registry. A registry entry
+// fails to build only when it cannot honor slot reclamation.
+func (s *Session) buildEngine(sink *WorkStats, owns func(int32) bool) (registry.Engine, error) {
+	cfg := &s.cfg
+	e, err := registry.Build(s.info, registry.Spec{
+		Stats:       sink,
+		Analysis:    cfg.analysis,
+		Owns:        owns,
+		SlotReclaim: cfg.slotReclaim,
+		SummaryCap:  cfg.summaryCap,
+		FlatWeak:    cfg.flatWeak,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("treeclock: WithSlotReclaim: %w", err)
 	}
-	return newStreamEngine[*vc.VectorClock](info.Order, vc.Factory(sink), cfg, owns)
+	return e, nil
 }
 
 // Run drains src through the session to completion — the pull mode the

@@ -13,16 +13,11 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 
-	"treeclock/internal/analysis"
 	"treeclock/internal/engine"
-	"treeclock/internal/hb"
-	"treeclock/internal/maz"
-	"treeclock/internal/shb"
+	"treeclock/internal/registry"
 	"treeclock/internal/trace"
 	"treeclock/internal/vt"
-	"treeclock/internal/wcp"
 )
 
 // Semantics is the plugin interface a partial order implements against
@@ -36,48 +31,23 @@ type Semantics[C vt.Clock[C]] = engine.Semantics[C]
 // built from. Advanced users can bind their own Semantics to it.
 type EngineRuntime[C vt.Clock[C]] = engine.Runtime[C]
 
-// EngineInfo describes one registry entry.
-type EngineInfo struct {
-	// Name is the registry key, "<order>-<clock>": e.g. "hb-tree".
-	Name string
-	// Order is the partial order: "hb", "shb", "maz" or "wcp".
-	Order string
-	// Clock is the data structure: "tree" or "vc".
-	Clock string
-	// Doc is a one-line description.
-	Doc string
-}
-
-// engineRegistry maps engine names to their construction recipe.
-var engineRegistry = map[string]EngineInfo{
-	"hb-tree":  {"hb-tree", "hb", "tree", "happens-before with tree clocks (Algorithm 3)"},
-	"hb-vc":    {"hb-vc", "hb", "vc", "happens-before with vector clocks (Algorithm 1)"},
-	"shb-tree": {"shb-tree", "shb", "tree", "schedulable-happens-before with tree clocks (Algorithm 4)"},
-	"shb-vc":   {"shb-vc", "shb", "vc", "schedulable-happens-before with vector clocks"},
-	"maz-tree": {"maz-tree", "maz", "tree", "Mazurkiewicz order with tree clocks (Algorithm 5)"},
-	"maz-vc":   {"maz-vc", "maz", "vc", "Mazurkiewicz order with vector clocks"},
-	"wcp-tree": {"wcp-tree", "wcp", "tree", "weakly-causally-precedes with tree clocks (predictive races)"},
-	"wcp-vc":   {"wcp-vc", "wcp", "vc", "weakly-causally-precedes with vector clocks"},
-}
+// EngineInfo describes one registry entry: Name ("<order>-<clock>",
+// e.g. "hb-tree"), Order ("hb", "shb", "maz" or "wcp"), Clock ("tree"
+// or "vc") and a one-line Doc.
+type EngineInfo = registry.Info
 
 // Engines returns the registered engine names, sorted.
 func Engines() []string {
-	names := make([]string, 0, len(engineRegistry))
-	for name := range engineRegistry {
-		names = append(names, name)
+	infos := registry.Infos()
+	names := make([]string, len(infos))
+	for i, info := range infos {
+		names[i] = info.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
 // EngineInfos returns the registry entries, sorted by name.
-func EngineInfos() []EngineInfo {
-	infos := make([]EngineInfo, 0, len(engineRegistry))
-	for _, name := range Engines() {
-		infos = append(infos, engineRegistry[name])
-	}
-	return infos
-}
+func EngineInfos() []EngineInfo { return registry.Infos() }
 
 // TraceFormat selects a trace serialization for streaming.
 type TraceFormat uint8
@@ -295,133 +265,6 @@ type scalarSource struct{ src trace.EventSource }
 func (s scalarSource) Next() (trace.Event, bool) { return s.src.Next() }
 func (s scalarSource) Err() error                { return s.src.Err() }
 
-// streamEngine is the non-generic view RunStream drives; a
-// runtimeAdapter instantiates it per clock type. ProcessBatchAt and
-// Acc serve the sharded path: parallel workers are fed positioned
-// batches and their accumulators merged afterwards.
-type streamEngine interface {
-	ProcessSource(trace.EventSource) error
-	ProcessBatchAt(base uint64, events []trace.Event)
-	Events() uint64
-	Meta() trace.Meta
-	Mem() (engine.MemStats, bool)
-	Acc() *analysis.Accumulator
-	Finish() (analysis.Summary, []analysis.Pair, []vt.Vector)
-	Checkpointable() bool
-	Snapshot(w io.Writer) error
-	Restore(r io.Reader) error
-}
-
-type runtimeAdapter[C vt.Clock[C]] struct {
-	rt  *engine.Runtime[C]
-	acc *analysis.Accumulator
-	// timestamp overrides the runtime's thread-clock snapshot for
-	// orders whose timestamps live outside the runtime's clocks (WCP's
-	// weak clocks); nil means the runtime's clocks ARE the order.
-	timestamp func(t vt.TID, dst vt.Vector) vt.Vector
-}
-
-func (a *runtimeAdapter[C]) ProcessSource(src trace.EventSource) error {
-	return a.rt.ProcessSource(src)
-}
-func (a *runtimeAdapter[C]) ProcessBatchAt(base uint64, events []trace.Event) {
-	a.rt.ProcessBatchAt(base, events)
-}
-func (a *runtimeAdapter[C]) Events() uint64               { return a.rt.Events() }
-func (a *runtimeAdapter[C]) Meta() trace.Meta             { return a.rt.Meta() }
-func (a *runtimeAdapter[C]) Mem() (engine.MemStats, bool) { return a.rt.MemStats() }
-func (a *runtimeAdapter[C]) Acc() *analysis.Accumulator   { return a.acc }
-func (a *runtimeAdapter[C]) Checkpointable() bool         { return a.rt.Checkpointable() }
-func (a *runtimeAdapter[C]) Snapshot(w io.Writer) error   { return a.rt.Snapshot(w) }
-func (a *runtimeAdapter[C]) Restore(r io.Reader) error    { return a.rt.Restore(r) }
-
-func (a *runtimeAdapter[C]) Finish() (analysis.Summary, []analysis.Pair, []vt.Vector) {
-	k := a.rt.Threads()
-	ts := make([]vt.Vector, k)
-	for t := 0; t < k; t++ {
-		if a.timestamp != nil {
-			ts[t] = a.timestamp(vt.TID(t), vt.NewVector(k))
-		} else {
-			ts[t] = a.rt.Timestamp(vt.TID(t), vt.NewVector(k))
-		}
-	}
-	if a.acc == nil {
-		return analysis.Summary{}, nil, ts
-	}
-	return a.acc.Summary(), a.acc.Samples, ts
-}
-
-// newStreamEngine builds the dynamically growing runtime for one
-// registry entry over clock type C. A non-nil owns predicate shards
-// the per-variable analysis to the variables it accepts: for the
-// detector-backed orders (HB, SHB) the whole detector — checks and
-// access-history state — is gated, for the self-checking orders (MAZ,
-// WCP) the accumulator drops foreign reports; either way the retained
-// samples carry trace positions so shards merge back into trace order.
-func newStreamEngine[C vt.Clock[C]](order string, f vt.Factory[C], cfg *streamConfig, owns func(int32) bool) (streamEngine, error) {
-	var (
-		rt        *engine.Runtime[C]
-		timestamp func(t vt.TID, dst vt.Vector) vt.Vector
-	)
-	switch order {
-	case "hb":
-		rt = engine.New[C](hb.NewSemantics[C](), f)
-	case "shb":
-		rt = engine.New[C](shb.NewSemantics[C](), f)
-	case "maz":
-		rt = engine.New[C](maz.NewSemantics[C](), f)
-	case "wcp":
-		// WCP timestamps are the weak clocks (plus thread order), not
-		// the runtime's HB scaffolding. The weak-clock transport is
-		// sparse by default; WithFlatWeakClocks selects the flat
-		// baseline.
-		if cfg.flatWeak {
-			sem := wcp.NewSemanticsFlat[C]()
-			sem.SetSummaryCap(cfg.summaryCap)
-			rt = engine.New[C](sem, f)
-			timestamp = func(t vt.TID, dst vt.Vector) vt.Vector {
-				return sem.Timestamp(t, rt.ThreadClock(t).Get(t), dst)
-			}
-		} else {
-			sem := wcp.NewSemantics[C]()
-			sem.SetSummaryCap(cfg.summaryCap)
-			rt = engine.New[C](sem, f)
-			timestamp = func(t vt.TID, dst vt.Vector) vt.Vector {
-				return sem.Timestamp(t, rt.ThreadClock(t).Get(t), dst)
-			}
-		}
-	default:
-		panic("treeclock: unknown partial order " + order)
-	}
-	if cfg.slotReclaim {
-		if err := rt.EnableSlotReclaim(); err != nil {
-			return nil, fmt.Errorf("treeclock: WithSlotReclaim: %w", err)
-		}
-	}
-	var acc *analysis.Accumulator
-	if cfg.analysis {
-		switch order {
-		case "maz", "wcp":
-			// These orders run their own pair checks and only need an
-			// accumulator to report into.
-			acc = rt.EnableAnalysis()
-			if owns != nil {
-				acc.SetShard(owns)
-			}
-		default:
-			det := rt.EnableRaceDetection()
-			if owns != nil {
-				det.SetShard(owns)
-			}
-			acc = det.Acc
-		}
-		if owns != nil {
-			acc.TrackPositions()
-		}
-	}
-	return &runtimeAdapter[C]{rt: rt, acc: acc, timestamp: timestamp}, nil
-}
-
 // RunStream analyzes a trace read from r with the named engine in a
 // single streaming pass: no prior Meta, no materialization, memory
 // proportional to the live identifier spaces (engines with inherently
@@ -504,7 +347,7 @@ func runStream(engineName string, src trace.EventSource, cfg streamConfig) (*Str
 // boundaries); results are identical to Runtime.ProcessSource. The
 // plain configuration keeps the runtime's own loop, whose
 // BatchProducer fast path the pipelined decoder relies on.
-func driveSequential(e streamEngine, src trace.EventSource, cfg *streamConfig, engineName string) error {
+func driveSequential(e registry.Engine, src trace.EventSource, cfg *streamConfig, engineName string) error {
 	if cfg.ctx == nil && cfg.ckptSink == nil {
 		return e.ProcessSource(src)
 	}
@@ -531,7 +374,7 @@ func driveSequential(e streamEngine, src trace.EventSource, cfg *streamConfig, e
 			e.ProcessBatchAt(e.Events(), buf[:n])
 		}
 		if cs != nil && e.Events() >= next {
-			if err := emitCheckpoint(cfg, &scratch, engineName, 1, e.Events(), cs, []streamEngine{e}); err != nil {
+			if err := emitCheckpoint(cfg, &scratch, engineName, 1, e.Events(), cs, []registry.Engine{e}); err != nil {
 				return err
 			}
 			next = nextBoundary(e.Events(), cfg.ckptEvery)

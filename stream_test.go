@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"treeclock"
+	"treeclock/internal/bench"
+	"treeclock/internal/oracle"
 )
 
 // generatorSuite returns one trace per generator in internal/gen (via
@@ -33,63 +35,50 @@ func generatorSuite() []*treeclock.Trace {
 	}
 }
 
-// materialized runs the classic pre-sized engine over a materialized
-// trace and returns the race summary, samples and final timestamps —
-// the reference the streaming path must reproduce exactly.
-func materialized(t *testing.T, tr *treeclock.Trace, engineName string) (treeclock.RaceSummary, []treeclock.Race, []treeclock.Vector) {
+// materialized is the reference side of the streaming differential
+// tests: the paper harness (bench.Run for the pair count,
+// bench.SamplePairs for the retained samples) over the materialized
+// trace, plus a replay of the same trace through RunStreamSource for
+// the full summary and the final timestamps.
+func materialized(t *testing.T, tr *treeclock.Trace, engineName string) (pairs string, replay *treeclock.StreamResult) {
 	t.Helper()
-	type processor interface {
-		Process([]treeclock.Event)
-		Timestamp(treeclock.ThreadID, treeclock.Vector) treeclock.Vector
+	info := engineInfo(t, engineName)
+	po, ck := bench.PO(info.Order), bench.Clock(info.Clock)
+	run, err := bench.Run(tr, bench.Config{PO: po, Clock: ck, Analysis: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var (
-		e   processor
-		sum treeclock.RaceSummary
-		acc *treeclock.RaceAccumulator
-	)
-	switch engineName {
-	case "hb-tree":
-		en := treeclock.NewHBTree(tr.Meta)
-		acc = en.EnableRaceDetection().Acc
-		e = en
-	case "hb-vc":
-		en := treeclock.NewHBVector(tr.Meta)
-		acc = en.EnableRaceDetection().Acc
-		e = en
-	case "shb-tree":
-		en := treeclock.NewSHBTree(tr.Meta)
-		acc = en.EnableRaceDetection().Acc
-		e = en
-	case "shb-vc":
-		en := treeclock.NewSHBVector(tr.Meta)
-		acc = en.EnableRaceDetection().Acc
-		e = en
-	case "maz-tree":
-		en := treeclock.NewMAZTree(tr.Meta)
-		acc = en.EnableAnalysis()
-		e = en
-	case "maz-vc":
-		en := treeclock.NewMAZVector(tr.Meta)
-		acc = en.EnableAnalysis()
-		e = en
-	case "wcp-tree":
-		en := treeclock.NewWCPTree(tr.Meta)
-		acc = en.EnableAnalysis()
-		e = en
-	case "wcp-vc":
-		en := treeclock.NewWCPVector(tr.Meta)
-		acc = en.EnableAnalysis()
-		e = en
-	default:
-		t.Fatalf("unknown engine %q", engineName)
+	samples, err := bench.SamplePairs(tr, po, ck)
+	if err != nil {
+		t.Fatal(err)
 	}
-	e.Process(tr.Events)
-	sum = acc.Summary()
-	ts := make([]treeclock.Vector, tr.Meta.Threads)
-	for th := 0; th < tr.Meta.Threads; th++ {
-		ts[th] = e.Timestamp(treeclock.ThreadID(th), make(treeclock.Vector, tr.Meta.Threads))
+	replay, err = treeclock.RunStreamSource(engineName, treeclock.NewTraceReplayer(tr))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return sum, acc.Samples, ts
+	return pairReport(run.Pairs, samples), replay
+}
+
+// engineInfo returns the registry entry named engineName.
+func engineInfo(t *testing.T, engineName string) treeclock.EngineInfo {
+	t.Helper()
+	for _, info := range treeclock.EngineInfos() {
+		if info.Name == engineName {
+			return info
+		}
+	}
+	t.Fatalf("unknown engine %q", engineName)
+	return treeclock.EngineInfo{}
+}
+
+// pairReport renders a pair count and its samples deterministically.
+func pairReport(total uint64, samples []treeclock.Race) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "total=%d\n", total)
+	for _, p := range samples {
+		fmt.Fprintf(&b, "%s\n", p)
+	}
+	return b.String()
 }
 
 // raceReport renders a summary and its samples deterministically; the
@@ -105,10 +94,11 @@ func raceReport(sum treeclock.RaceSummary, samples []treeclock.Race) string {
 }
 
 // TestStreamingMatchesMaterialized is the acceptance test of the
-// streaming refactor: for every generator and every registry engine,
+// streaming path: for every generator and every registry engine,
 // feeding the serialized trace through RunStream as a plain io.Reader —
-// with no precomputed Meta — must yield byte-identical race reports and
-// identical final vector timestamps to the materialized path.
+// with no precomputed Meta — must yield the paper harness's pair count
+// and samples over the materialized trace, and a race report and final
+// vector timestamps identical to replaying that trace.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	for _, tr := range generatorSuite() {
 		if err := tr.Validate(); err != nil {
@@ -142,7 +132,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 // materialized run of ref.
 func checkStream(t *testing.T, engineName string, ref *treeclock.Trace, data []byte, opts ...treeclock.StreamOption) {
 	t.Helper()
-	wantSum, wantSamples, wantTS := materialized(t, ref, engineName)
+	wantPairs, replay := materialized(t, ref, engineName)
 	res, err := treeclock.RunStream(engineName, bytes.NewReader(data), opts...)
 	if err != nil {
 		t.Fatalf("RunStream: %v", err)
@@ -150,20 +140,21 @@ func checkStream(t *testing.T, engineName string, ref *treeclock.Trace, data []b
 	if res.Events != uint64(ref.Len()) {
 		t.Errorf("Events = %d, want %d", res.Events, ref.Len())
 	}
-	got := raceReport(res.Summary, res.Samples)
-	want := raceReport(wantSum, wantSamples)
-	if got != want {
-		t.Errorf("race report diverges:\nstreaming:\n%s\nmaterialized:\n%s", got, want)
+	if got := pairReport(res.Summary.Total, res.Samples); got != wantPairs {
+		t.Errorf("pairs diverge from the paper harness:\nstreaming:\n%s\nbench:\n%s", got, wantPairs)
+	}
+	if got, want := raceReport(res.Summary, res.Samples), raceReport(replay.Summary, replay.Samples); got != want {
+		t.Errorf("race report diverges:\nstreaming:\n%s\nreplayed:\n%s", got, want)
 	}
 	if res.Meta.Threads > ref.Meta.Threads {
 		t.Fatalf("discovered %d threads, reference has %d", res.Meta.Threads, ref.Meta.Threads)
 	}
-	for th := 0; th < res.Meta.Threads; th++ {
-		gotV, wantV := res.Timestamps[th], wantTS[th]
-		for u := 0; u < ref.Meta.Threads; u++ {
-			if gotV.Get(treeclock.ThreadID(u)) != wantV.Get(treeclock.ThreadID(u)) {
-				t.Fatalf("thread %d timestamp diverges: streaming %v, materialized %v", th, gotV, wantV)
-			}
+	if len(res.Timestamps) != len(replay.Timestamps) {
+		t.Fatalf("%d timestamps, replay has %d", len(res.Timestamps), len(replay.Timestamps))
+	}
+	for th, gotV := range res.Timestamps {
+		if wantV := replay.Timestamps[th]; !gotV.Equal(wantV) {
+			t.Fatalf("thread %d timestamp diverges: streaming %v, replayed %v", th, gotV, wantV)
 		}
 	}
 }
@@ -171,11 +162,11 @@ func checkStream(t *testing.T, engineName string, ref *treeclock.Trace, data []b
 // TestLockClockBeforeThreadGrowth pins, across the whole registry,
 // that a lock clock allocated at an early (small) thread capacity
 // still yields correct results after the thread space grows: the
-// streaming run (which allocates lock 0's clock when only thread 0
-// exists) must match the pre-sized materialized run (which allocates
-// it at full capacity) event for event. The binary format keeps thread
-// ids verbatim, so the jump from thread 0 to thread 5 survives
-// serialization.
+// streaming run allocates lock 0's clock when only thread 0 exists,
+// and every thread's final timestamp must still equal the
+// definition-level oracle's (the timestamp of the thread's last
+// event). The binary format keeps thread ids verbatim, so the jump
+// from thread 0 to thread 5 survives serialization.
 func TestLockClockBeforeThreadGrowth(t *testing.T) {
 	tr := &treeclock.Trace{
 		Meta: treeclock.Meta{Name: "lock-before-growth", Threads: 6, Locks: 1, Vars: 2},
@@ -199,9 +190,24 @@ func TestLockClockBeforeThreadGrowth(t *testing.T) {
 	if err := treeclock.WriteTraceBinary(&bin, tr); err != nil {
 		t.Fatal(err)
 	}
-	for _, engineName := range treeclock.Engines() {
-		t.Run(engineName, func(t *testing.T) {
-			checkStream(t, engineName, tr, bin.Bytes(), treeclock.StreamBinary())
+	orders := map[string]oracle.PO{"hb": oracle.HB, "shb": oracle.SHB, "maz": oracle.MAZ, "wcp": oracle.WCP}
+	for _, info := range treeclock.EngineInfos() {
+		t.Run(info.Name, func(t *testing.T) {
+			checkStream(t, info.Name, tr, bin.Bytes(), treeclock.StreamBinary())
+			res, err := treeclock.RunStream(info.Name, bytes.NewReader(bin.Bytes()), treeclock.StreamBinary())
+			if err != nil {
+				t.Fatal(err)
+			}
+			post := oracle.Timestamps(tr, orders[info.Order]).Post
+			for i, ev := range tr.Events {
+				last := true
+				for _, later := range tr.Events[i+1:] {
+					last = last && later.T != ev.T
+				}
+				if last && !res.Timestamps[ev.T].Equal(post[i]) {
+					t.Errorf("thread %d: timestamp %v, oracle %v", ev.T, res.Timestamps[ev.T], post[i])
+				}
+			}
 		})
 	}
 }

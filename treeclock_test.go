@@ -21,19 +21,21 @@ t2 w x0
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	e := treeclock.NewHBTree(tr.Meta)
-	det := e.EnableRaceDetection()
-	e.Process(tr.Events)
-	sum := det.Acc.Summary()
+	res, err := treeclock.RunStreamSource("hb-tree", treeclock.NewTraceReplayer(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := res.Summary
 	if sum.Total == 0 {
 		t.Fatal("t2's unsynchronized write must race")
 	}
 	// The same run with vector clocks agrees.
-	ev := treeclock.NewHBVector(tr.Meta)
-	detV := ev.EnableRaceDetection()
-	ev.Process(tr.Events)
-	if detV.Acc.Summary() != sum {
-		t.Errorf("clock implementations disagree: %+v vs %+v", sum, detV.Acc.Summary())
+	resV, err := treeclock.RunStreamSource("hb-vc", treeclock.NewTraceReplayer(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resV.Summary != sum {
+		t.Errorf("clock implementations disagree: %+v vs %+v", sum, resV.Summary)
 	}
 }
 
@@ -62,23 +64,23 @@ func TestAllEngineConstructors(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("generated trace invalid: %v", err)
 	}
-	var st treeclock.WorkStats
-	engines := []interface{ Process([]treeclock.Event) }{
-		treeclock.NewHBTree(tr.Meta),
-		treeclock.NewHBVector(tr.Meta),
-		treeclock.NewHBTreeCounting(tr.Meta, &st),
-		treeclock.NewHBVectorCounting(tr.Meta, &st),
-		treeclock.NewSHBTree(tr.Meta),
-		treeclock.NewSHBVector(tr.Meta),
-		treeclock.NewMAZTree(tr.Meta),
-		treeclock.NewMAZVector(tr.Meta),
-	}
-	for i, e := range engines {
-		e.Process(tr.Events)
-		_ = i
-	}
-	if st.Changed == 0 {
-		t.Error("counting constructors recorded no work")
+	// Every registry engine runs the materialized trace, with and
+	// without work counting.
+	for _, name := range treeclock.Engines() {
+		res, err := treeclock.RunStreamSource(name, treeclock.NewTraceReplayer(tr))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Events != uint64(tr.Len()) {
+			t.Errorf("%s: processed %d events, want %d", name, res.Events, tr.Len())
+		}
+		var st treeclock.WorkStats
+		if _, err := treeclock.RunStreamSource(name, treeclock.NewTraceReplayer(tr), treeclock.StreamWorkStats(&st)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st.Changed == 0 {
+			t.Errorf("%s: work counting recorded no work", name)
+		}
 	}
 }
 
@@ -129,13 +131,11 @@ func TestGeneratorsFacade(t *testing.T) {
 	}
 }
 
-func ExampleNewSHBTree() {
+func ExampleRunStreamSource() {
 	tr, _ := treeclock.ParseTraceString("t0 w x0\nt1 r x0\nt1 w x0\n")
-	e := treeclock.NewSHBTree(tr.Meta)
-	det := e.EnableRaceDetection()
-	e.Process(tr.Events)
-	fmt.Println("races found:", det.Acc.Total)
-	for _, r := range det.Acc.Samples {
+	res, _ := treeclock.RunStreamSource("shb-tree", treeclock.NewTraceReplayer(tr))
+	fmt.Println("races found:", res.Summary.Total)
+	for _, r := range res.Samples {
 		fmt.Println(r)
 	}
 	// t1's write does not race t0's: the read's last-write edge
