@@ -174,6 +174,8 @@
 package wcp
 
 import (
+	"slices"
+
 	"treeclock/internal/analysis"
 	"treeclock/internal/engine"
 	"treeclock/internal/vt"
@@ -801,16 +803,26 @@ func (s *SemanticsOf[C, W, S, F]) SetSummaryCap(n int) { s.sumCap = n }
 // changes nothing. Locks currently held are skipped: the holder
 // joined an *older* publication at its acquire, so the monotone-chain
 // argument does not yet cover it; its release publishes first, and
-// the contribution becomes sweepable afterwards. The sweep visits
-// locks in id order and dropping is order-independent, so the result
-// is deterministic despite map iteration inside a lock.
+// the contribution becomes sweepable afterwards. Which contributions
+// are dropped does not depend on order, but the drop order does decide
+// which recycled buffer (flat store) or arena segment (sparse store)
+// later snapshots reuse, and the checkpoint records that; so the sweep
+// visits locks, and the variables within a lock, in id order, never in
+// map order.
 func (s *SemanticsOf[C, W, S, F]) sweepSummaries() {
+	var ids []int32
 	for l := range s.locks {
 		ls := &s.locks[l]
 		if ls.holders > 0 || !ls.wSet || len(ls.sums) == 0 {
 			continue
 		}
-		for x, sum := range ls.sums {
+		ids = ids[:0]
+		for x := range ls.sums {
+			ids = append(ids, x)
+		}
+		slices.Sort(ids)
+		for _, x := range ids {
+			sum := ls.sums[x]
 			sum.reads = s.dropDominated(sum.reads, ls)
 			sum.writes = s.dropDominated(sum.writes, ls)
 			if len(sum.reads)+len(sum.writes) == 0 {
