@@ -12,7 +12,7 @@ package treeclock
 //
 //	header | "config" | source sections | engine sections × shards | "end"
 //
-// Engine sections are written by engine.Runtime.Snapshot (one "engine"
+// Engine sections are visited by engine.Runtime.Checkpoint (one "engine"
 // and one "analysis" section plus the semantics plugin's own). A
 // truncated, bit-flipped or misdirected checkpoint fails restore with
 // an error wrapping ErrCorruptCheckpoint; it never panics and never
@@ -150,35 +150,70 @@ func asCheckpointable(src trace.EventSource) (trace.CheckpointableSource, error)
 	return cs, nil
 }
 
-// writeCheckpoint assembles one complete checkpoint into w.
-func writeCheckpoint(w io.Writer, name string, cfg *streamConfig, shards int, events uint64, src trace.CheckpointableSource, engines []registry.Engine) error {
-	e := ckpt.NewEnc(w)
-	e.Header()
-	e.Begin("config")
-	e.String(name)
-	e.Bool(cfg.flatWeak)
-	e.Bool(cfg.analysis)
-	e.Bool(cfg.validate)
-	e.Int(shards)
-	e.U64(events)
-	e.Bool(cfg.slotReclaim)
-	e.Int(cfg.summaryCap)
-	e.Int(cfg.internCap)
-	e.End()
-	if err := e.Err(); err != nil {
+// runConfig is the run configuration a checkpoint records: a resumed
+// run must match it exactly.
+type runConfig struct {
+	name                         string
+	flatWeak, analysis, validate bool
+	shards                       int
+	slotReclaim                  bool
+	summaryCap, internCap        int
+}
+
+// checkpoint visits one whole checkpoint: the run configuration and
+// event count, the source's decode frontier and every engine replica.
+// A load validates the configuration against cfg, fast-forwards the
+// source and loads the replicas in place; on error the run must be
+// discarded.
+func checkpoint(c *ckpt.Codec, name string, cfg *streamConfig, shards int, events *uint64, src trace.CheckpointableSource, engines []registry.Engine) error {
+	want := runConfig{name, cfg.flatWeak, cfg.analysis, cfg.validate, shards, cfg.slotReclaim, cfg.summaryCap, cfg.internCap}
+	ck := want
+	c.Header()
+	c.Begin("config")
+	c.String(&ck.name)
+	c.Bool(&ck.flatWeak)
+	c.Bool(&ck.analysis)
+	c.Bool(&ck.validate)
+	c.Int(&ck.shards)
+	c.U64(events)
+	c.Bool(&ck.slotReclaim)
+	c.Int(&ck.summaryCap)
+	c.Int(&ck.internCap)
+	c.End()
+	if err := c.Err(); err != nil {
 		return err
 	}
-	if err := src.SnapshotSource(e); err != nil {
+	if ck.name != want.name || ck.flatWeak != want.flatWeak || ck.analysis != want.analysis || ck.validate != want.validate || ck.shards != want.shards {
+		return fmt.Errorf("treeclock: checkpoint was written by engine %q (flat-weak %v, analysis %v, validate %v, %d workers); this run is %q (flat-weak %v, analysis %v, validate %v, %d workers)",
+			ck.name, ck.flatWeak, ck.analysis, ck.validate, ck.shards,
+			want.name, want.flatWeak, want.analysis, want.validate, want.shards)
+	}
+	if ck != want {
+		return fmt.Errorf("treeclock: checkpoint was written with slot-reclaim %v, summary cap %d, intern cap %d; this run has slot-reclaim %v, summary cap %d, intern cap %d",
+			ck.slotReclaim, ck.summaryCap, ck.internCap, want.slotReclaim, want.summaryCap, want.internCap)
+	}
+	if err := src.CheckpointSource(c); err != nil {
 		return err
+	}
+	// Observer wrappers (progress reporting) contribute no checkpoint
+	// state; re-seed their counters from the restored position so
+	// callbacks continue the interrupted run's numbering.
+	if ps, ok := src.(interface{ StartAt(uint64) }); ok && c.Loading() {
+		ps.StartAt(*events)
 	}
 	for _, eng := range engines {
-		if err := eng.Snapshot(w); err != nil {
+		if err := eng.Checkpoint(c); err != nil {
 			return err
 		}
 	}
-	e.Begin("end")
-	e.End()
-	return e.Err()
+	c.Begin("end")
+	c.End()
+	return c.Err()
+}
+
+// writeCheckpoint assembles one complete checkpoint into w.
+func writeCheckpoint(w io.Writer, name string, cfg *streamConfig, shards int, events uint64, src trace.CheckpointableSource, engines []registry.Engine) error {
+	return checkpoint(ckpt.NewEnc(w).Codec(), name, cfg, shards, &events, src, engines)
 }
 
 // emitCheckpoint writes one checkpoint through the configured sink.
@@ -207,48 +242,7 @@ func emitCheckpoint(cfg *streamConfig, scratch *bytes.Buffer, name string, shard
 // validating the configuration, fast-forwarding the source and loading
 // every engine replica. On error the run must be discarded.
 func restoreCheckpoint(cfg *streamConfig, name string, shards int, src trace.CheckpointableSource, engines []registry.Engine) (events uint64, err error) {
-	d := ckpt.NewDec(cfg.resume)
-	d.Header()
-	d.Begin("config")
-	ckName := d.String()
-	ckFlat := d.Bool()
-	ckAnalysis := d.Bool()
-	ckValidate := d.Bool()
-	ckShards := d.Int()
-	events = d.U64()
-	ckReclaim := d.Bool()
-	ckSumCap := d.Int()
-	ckInternCap := d.Int()
-	d.End()
-	if err := d.Err(); err != nil {
-		return 0, err
-	}
-	if ckName != name || ckFlat != cfg.flatWeak || ckAnalysis != cfg.analysis || ckValidate != cfg.validate || ckShards != shards {
-		return 0, fmt.Errorf("treeclock: checkpoint was written by engine %q (flat-weak %v, analysis %v, validate %v, %d workers); this run is %q (flat-weak %v, analysis %v, validate %v, %d workers)",
-			ckName, ckFlat, ckAnalysis, ckValidate, ckShards,
-			name, cfg.flatWeak, cfg.analysis, cfg.validate, shards)
-	}
-	if ckReclaim != cfg.slotReclaim || ckSumCap != cfg.summaryCap || ckInternCap != cfg.internCap {
-		return 0, fmt.Errorf("treeclock: checkpoint was written with slot-reclaim %v, summary cap %d, intern cap %d; this run has slot-reclaim %v, summary cap %d, intern cap %d",
-			ckReclaim, ckSumCap, ckInternCap, cfg.slotReclaim, cfg.summaryCap, cfg.internCap)
-	}
-	if err := src.RestoreSource(d); err != nil {
-		return 0, err
-	}
-	// Observer wrappers (progress reporting) contribute no checkpoint
-	// state; re-seed their counters from the restored position so
-	// callbacks continue the interrupted run's numbering.
-	if ps, ok := src.(interface{ StartAt(uint64) }); ok {
-		ps.StartAt(events)
-	}
-	for _, eng := range engines {
-		if err := eng.Restore(cfg.resume); err != nil {
-			return 0, err
-		}
-	}
-	d.Begin("end")
-	d.End()
-	if err := d.Err(); err != nil {
+	if err := checkpoint(ckpt.NewDec(cfg.resume).Codec(), name, cfg, shards, &events, src, engines); err != nil {
 		return 0, err
 	}
 	for i, eng := range engines {

@@ -18,7 +18,6 @@
 // The analyzers (enable/disable each with -name=false):
 //
 //	refpair    snapshot refcount pairing (acquire must reach Drop)
-//	ckptsym    checkpoint save/load wire-format symmetry
 //	detrange   map-iteration order and wall-clock nondeterminism
 //	clockgrow  vt.Clock Inc without a dominating Grow/capacity guard
 //

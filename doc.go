@@ -254,8 +254,22 @@
 // report is byte-identical to an uninterrupted one. The format
 // (internal/ckpt) is length-prefixed, versioned and CRC-checked per
 // section; a truncated, bit-flipped or mismatched checkpoint fails
-// with an error wrapping ErrCorruptCheckpoint — never a panic — and a
-// committed golden file pins the wire format against silent drift.
+// with an error wrapping ErrCorruptCheckpoint — never a panic — and
+// committed golden files pin the wire format against silent drift.
+//
+// Every stateful type — clocks, weak clocks and snapshot stores, the
+// detector and accumulator, each order's plugin, the runtime, the trace
+// sources, the run configuration and the daemon's frames — has one
+// checkpoint method over a ckpt.Codec, which wraps either an encoder
+// or a decoder and visits each field through a pointer: c.Int32(&x)
+// writes x on save and reads into it on load. Save and load are the
+// same code, so the two directions cannot disagree on wire order or
+// kinds; load-side bounds (counts the payload cannot hold, identifiers
+// out of range, Check conditions) latch ErrCorrupt, and code branches
+// on Loading only to allocate what a count sized or to rebuild derived
+// state. A load writes in place, so an object whose load failed is
+// discarded. The goldens, a whole-checkpoint Load→Save identity test
+// over every engine, the crash matrix and the fuzzers are the gates.
 // Checkpoints are written whole (the sink receives only complete
 // serializations; tcrace -checkpoint additionally writes
 // temp-file-plus-rename), so a crash mid-write leaves the previous
@@ -325,7 +339,7 @@
 //
 // The invariants above are enforced twice: dynamically by the
 // differential and fault-injection harnesses, and statically by
-// cmd/tcvet, a vet-style multichecker over the four custom analyzers
+// cmd/tcvet, a vet-style multichecker over the three custom analyzers
 // in internal/lint. Each analyzer encodes one documented contract and
 // names the harness that proves it dynamically:
 //
@@ -335,15 +349,9 @@
 //     twice — the refcount discipline of the copy-on-write segment
 //     arenas ("Weak clocks" above; dynamically audited by the
 //     FreeCount/Heap accounting in the vt and wcp tests).
-//   - ckptsym: paired save/load functions (Save/Load, Snapshot/Restore
-//     by naming convention) must Enc/Dec the same wire-kind sequence,
-//     counts before elements, sections by matching name — the
-//     checkpoint symmetry of "Checkpointing and crash equivalence"
-//     (dynamically pinned by the golden file and the round-trip
-//     harness, which once caught exactly this bug class as a
-//     zigzag-vs-uvarint count mismatch).
 //   - detrange: no unsorted map iteration may flow into checkpoint
-//     encoders, accumulator reports, or order-accumulated slices, and
+//     encoders or codecs, accumulator reports, or order-accumulated
+//     slices, and
 //     the engine/parallel/wcp/ckpt core must not touch time.Now or
 //     math/rand — the replica-determinism property that keeps sharded
 //     and resumed runs byte-identical ("Sharded parallel analysis";

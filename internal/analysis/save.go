@@ -10,159 +10,55 @@ package analysis
 // same state always produces the same bytes.
 
 import (
-	"sort"
-
 	"treeclock/internal/ckpt"
 	"treeclock/internal/vt"
 )
 
-// Save serializes the accumulator into the open section of e.
-func (a *Accumulator) Save(e *ckpt.Enc) {
-	e.U64(a.Total)
-	for _, k := range a.ByKind {
-		e.U64(k)
+// Checkpoint visits the accumulator, leaving the shard predicate
+// untouched.
+func (a *Accumulator) Checkpoint(c *ckpt.Codec) {
+	c.U64(&a.Total)
+	for i := range a.ByKind {
+		c.U64(&a.ByKind[i])
 	}
-	ids := make([]int32, 0, len(a.racyVar))
-	for x := range a.racyVar {
-		ids = append(ids, x)
+	ckpt.Map(c, &a.racyVar, 1, func(c *ckpt.Codec, x *int32, racy *bool) {
+		c.Int32(x)
+		*racy = true
+	})
+	if !ckpt.Slice(c, &a.Samples, 6) ||
+		!c.Check(len(a.Samples) <= maxSamples, "sample count %d exceeds cap %d", len(a.Samples), maxSamples) {
+		return
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.Uvarint(uint64(len(ids)))
-	for _, x := range ids {
-		e.Int32(x)
-	}
-	e.Uvarint(uint64(len(a.Samples)))
 	for i := range a.Samples {
 		p := &a.Samples[i]
-		e.U8(uint8(p.Kind))
-		e.Int32(p.Var)
-		vt.SaveEpoch(e, p.Prior)
-		vt.SaveEpoch(e, p.Access)
+		c.U8((*uint8)(&p.Kind))
+		c.Check(p.Kind < numPairKinds, "bad pair kind")
+		c.Int32(&p.Var)
+		vt.CheckpointEpoch(c, &p.Prior)
+		vt.CheckpointEpoch(c, &p.Access)
 	}
-	e.Bool(a.trackPos)
-	e.Uvarint(uint64(len(a.samplePos)))
-	for _, p := range a.samplePos {
-		e.U64(p)
+	c.Bool(&a.trackPos)
+	if !ckpt.Slice(c, &a.samplePos, 8) ||
+		!c.Check(len(a.samplePos) <= maxSamples, "sample position count %d exceeds cap %d", len(a.samplePos), maxSamples) {
+		return
 	}
-	e.U64(a.pos)
+	for i := range a.samplePos {
+		c.U64(&a.samplePos[i])
+	}
+	c.U64(&a.pos)
 }
 
-// Load restores state written by Save, leaving the shard predicate
-// untouched. Failures latch in d; on failure the accumulator is
-// unchanged.
-func (a *Accumulator) Load(d *ckpt.Dec) {
-	total := d.U64()
-	var byKind [numPairKinds]uint64
-	for i := range byKind {
-		byKind[i] = d.U64()
-	}
-	nr := d.Len(1)
-	if d.Err() != nil {
+// Checkpoint visits the detector — per-variable access histories plus
+// its accumulator — leaving the shard predicate untouched.
+func (dt *Detector[C]) Checkpoint(c *ckpt.Codec) {
+	c.Int(&dt.k)
+	if !ckpt.Slice(c, &dt.vars, 5) ||
+		!c.Check(dt.k >= 0 && dt.k <= vt.MaxID, "detector thread high-water %d out of range", dt.k) {
 		return
 	}
-	racy := make(map[int32]bool, nr)
-	for i := 0; i < nr; i++ {
-		racy[d.Int32()] = true
-	}
-	ns := d.Len(1)
-	if d.Err() != nil {
-		return
-	}
-	if ns > maxSamples {
-		d.Corruptf("sample count %d exceeds cap %d", ns, maxSamples)
-		return
-	}
-	var samples []Pair
-	for i := 0; i < ns; i++ {
-		k := PairKind(d.U8())
-		if d.Err() == nil && k >= numPairKinds {
-			d.Corruptf("bad pair kind %d", k)
-		}
-		v := d.Int32()
-		prior := vt.LoadEpoch(d)
-		access := vt.LoadEpoch(d)
-		if d.Err() != nil {
-			return
-		}
-		samples = append(samples, Pair{Kind: k, Var: v, Prior: prior, Access: access})
-	}
-	trackPos := d.Bool()
-	np := d.Len(8)
-	if d.Err() != nil {
-		return
-	}
-	if np > maxSamples {
-		d.Corruptf("sample position count %d exceeds cap %d", np, maxSamples)
-		return
-	}
-	var samplePos []uint64
-	for i := 0; i < np; i++ {
-		samplePos = append(samplePos, d.U64())
-	}
-	pos := d.U64()
-	if d.Err() != nil {
-		return
-	}
-	a.Total, a.ByKind, a.racyVar, a.Samples = total, byKind, racy, samples
-	a.trackPos, a.samplePos, a.pos = trackPos, samplePos, pos
-}
-
-// Save serializes the detector — per-variable access histories plus
-// its accumulator — into the open section of e.
-func (dt *Detector[C]) Save(e *ckpt.Enc) {
-	e.Int(dt.k)
-	e.Uvarint(uint64(len(dt.vars)))
 	for i := range dt.vars {
 		vs := &dt.vars[i]
-		vt.SaveEpoch(e, vs.w)
-		vt.SaveEpoch(e, vs.r)
-		if vs.shared == nil {
-			e.Bool(false)
-			continue
-		}
-		e.Bool(true)
-		e.Uvarint(uint64(len(vs.shared)))
-		for _, c := range vs.shared {
-			e.Svarint(int64(c))
-		}
+		vt.CheckpointAccess(c, &vs.w, &vs.r, &vs.shared)
 	}
-	dt.Acc.Save(e)
-}
-
-// Load restores state written by Save, leaving the shard predicate
-// untouched. Failures latch in d.
-func (dt *Detector[C]) Load(d *ckpt.Dec) {
-	k := d.Int()
-	nv := d.Len(1)
-	if d.Err() != nil {
-		return
-	}
-	if k < 0 || k > vt.MaxID {
-		d.Corruptf("detector thread high-water %d out of range", k)
-		return
-	}
-	vars := make([]varState, nv)
-	for i := range vars {
-		vs := &vars[i]
-		vs.w = vt.LoadEpoch(d)
-		vs.r = vt.LoadEpoch(d)
-		if d.Bool() {
-			n := d.Len(1)
-			if d.Err() != nil {
-				return
-			}
-			vs.shared = vt.NewVector(n)
-			for j := range vs.shared {
-				vs.shared[j] = vt.Time(d.Svarint())
-			}
-		}
-		if d.Err() != nil {
-			return
-		}
-	}
-	dt.Acc.Load(d)
-	if d.Err() != nil {
-		return
-	}
-	dt.k, dt.vars = k, vars
+	dt.Acc.Checkpoint(c)
 }

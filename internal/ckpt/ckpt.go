@@ -23,11 +23,13 @@
 package ckpt
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // ErrCorrupt is the sentinel wrapped by every decode failure: a
@@ -60,12 +62,21 @@ type Enc struct {
 	w    io.Writer
 	name string
 	open bool
+	base int // payload offset in buf: room reserved for the frame header
 	buf  []byte
 	err  error
+	c    Codec
 }
 
 // NewEnc returns an encoder over w.
-func NewEnc(w io.Writer) *Enc { return &Enc{w: w} }
+func NewEnc(w io.Writer) *Enc {
+	e := &Enc{w: w}
+	e.c.e, e.c.f = e, e
+	return e
+}
+
+// Codec returns the saving codec over e.
+func (e *Enc) Codec() *Codec { return &e.c }
 
 // Err returns the first error encountered.
 func (e *Enc) Err() error { return e.err }
@@ -89,7 +100,9 @@ func (e *Enc) Header() {
 	}
 }
 
-// Begin opens a section. Sections do not nest.
+// Begin opens a section. Sections do not nest. The payload is built
+// after room for the longest possible frame header, so End frames the
+// section in place and writes it with one Write.
 func (e *Enc) Begin(name string) {
 	if e.err != nil {
 		return
@@ -98,7 +111,9 @@ func (e *Enc) Begin(name string) {
 		e.fail(fmt.Errorf("ckpt: Begin(%q) inside open section %q", name, e.name))
 		return
 	}
-	e.name, e.open, e.buf = name, true, e.buf[:0]
+	e.name, e.open = name, true
+	e.base = 2*binary.MaxVarintLen64 + len(name)
+	e.buf = slices.Grow(e.buf[:0], e.base)[:e.base]
 }
 
 // End frames the open section and writes it out.
@@ -111,25 +126,25 @@ func (e *Enc) End() {
 		return
 	}
 	e.open = false
-	var hdr [binary.MaxVarintLen64]byte
-	frame := make([]byte, 0, 2*binary.MaxVarintLen64+len(e.name)+len(e.buf)+4)
-	n := binary.PutUvarint(hdr[:], uint64(len(e.name)))
-	frame = append(frame, hdr[:n]...)
-	frame = append(frame, e.name...)
-	n = binary.PutUvarint(hdr[:], uint64(len(e.buf)))
-	frame = append(frame, hdr[:n]...)
-	frame = append(frame, e.buf...)
-	crc := crc32.ChecksumIEEE([]byte(e.name))
-	crc = crc32.Update(crc, crc32.IEEETable, e.buf)
-	var c [4]byte
-	binary.LittleEndian.PutUint32(c[:], crc)
-	frame = append(frame, c[:]...)
-	if _, err := e.w.Write(frame); err != nil {
+	payload := e.buf[e.base:]
+	var lens [2 * binary.MaxVarintLen64]byte
+	nl := binary.PutUvarint(lens[:], uint64(len(e.name)))
+	pl := binary.PutUvarint(lens[nl:], uint64(len(payload)))
+	start := e.base - nl - len(e.name) - pl
+	name := e.buf[start+nl : start+nl+len(e.name)]
+	copy(e.buf[start:], lens[:nl])
+	copy(name, e.name)
+	copy(e.buf[start+nl+len(e.name):], lens[nl:nl+pl])
+	crc := crc32.Update(crc32.ChecksumIEEE(name), crc32.IEEETable, payload)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, crc)
+	if _, err := e.w.Write(e.buf[start:]); err != nil {
 		e.fail(fmt.Errorf("ckpt: writing section %q: %w", e.name, err))
 	}
 }
 
-func (e *Enc) append(b ...byte) {
+// put adopts buf — the payload with one primitive appended — when a
+// section is open, latching the misuse error when none is.
+func (e *Enc) put(buf []byte) {
 	if e.err != nil {
 		return
 	}
@@ -137,39 +152,23 @@ func (e *Enc) append(b ...byte) {
 		e.fail(errors.New("ckpt: write outside a section"))
 		return
 	}
-	e.buf = append(e.buf, b...)
+	e.buf = buf
 }
 
 // U8 appends one byte.
-func (e *Enc) U8(v uint8) { e.append(v) }
+func (e *Enc) U8(v uint8) { e.put(append(e.buf, v)) }
 
 // U32 appends a fixed-width little-endian uint32.
-func (e *Enc) U32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.append(b[:]...)
-}
+func (e *Enc) U32(v uint32) { e.put(binary.LittleEndian.AppendUint32(e.buf, v)) }
 
 // U64 appends a fixed-width little-endian uint64.
-func (e *Enc) U64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.append(b[:]...)
-}
+func (e *Enc) U64(v uint64) { e.put(binary.LittleEndian.AppendUint64(e.buf, v)) }
 
 // Uvarint appends an unsigned varint.
-func (e *Enc) Uvarint(v uint64) {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], v)
-	e.append(b[:n]...)
-}
+func (e *Enc) Uvarint(v uint64) { e.put(binary.AppendUvarint(e.buf, v)) }
 
 // Svarint appends a zig-zag signed varint.
-func (e *Enc) Svarint(v int64) {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(b[:], v)
-	e.append(b[:n]...)
-}
+func (e *Enc) Svarint(v int64) { e.put(binary.AppendVarint(e.buf, v)) }
 
 // Int appends a signed integer (zig-zag varint).
 func (e *Enc) Int(v int) { e.Svarint(int64(v)) }
@@ -179,24 +178,18 @@ func (e *Enc) Int32(v int32) { e.Svarint(int64(v)) }
 
 // Bool appends a boolean as one byte.
 func (e *Enc) Bool(v bool) {
+	var b uint8
 	if v {
-		e.append(1)
-	} else {
-		e.append(0)
+		b = 1
 	}
+	e.U8(b)
 }
 
 // Bytes appends a length-prefixed byte string.
-func (e *Enc) Bytes(b []byte) {
-	e.Uvarint(uint64(len(b)))
-	e.append(b...)
-}
+func (e *Enc) Bytes(b []byte) { e.put(append(binary.AppendUvarint(e.buf, uint64(len(b))), b...)) }
 
 // String appends a length-prefixed string.
-func (e *Enc) String(s string) {
-	e.Uvarint(uint64(len(s)))
-	e.append([]byte(s)...)
-}
+func (e *Enc) String(s string) { e.put(append(binary.AppendUvarint(e.buf, uint64(len(s))), s...)) }
 
 // Dec reads checkpoint sections from an io.Reader, mirroring Enc.
 // Begin reads, CRC-checks and buffers one whole section; primitives
@@ -209,10 +202,18 @@ type Dec struct {
 	buf  []byte
 	pos  int
 	err  error
+	c    Codec
 }
 
 // NewDec returns a decoder over r.
-func NewDec(r io.Reader) *Dec { return &Dec{r: r} }
+func NewDec(r io.Reader) *Dec {
+	d := &Dec{r: r}
+	d.c.d, d.c.f = d, d
+	return d
+}
+
+// Codec returns the loading codec over d.
+func (d *Dec) Codec() *Codec { return &d.c }
 
 // Err returns the first error encountered.
 func (d *Dec) Err() error { return d.err }
@@ -280,7 +281,7 @@ func (d *Dec) rawUvarint() uint64 {
 // readPayload reads n payload bytes incrementally so a corrupt length
 // fails on the short read rather than on a giant allocation.
 func (d *Dec) readPayload(n uint64) []byte {
-	const chunk = 1 << 20
+	const chunk = 1 << 16
 	buf := d.buf[:0]
 	for n > 0 {
 		c := n
@@ -561,4 +562,253 @@ func (d *Dec) Count() int {
 		return 0
 	}
 	return int(n)
+}
+
+// Codec visits checkpoint state in either direction: over an Enc each
+// method writes the value its pointer holds, over a Dec it reads the
+// value into the same place. A type visits each field once, so its save
+// and load are one piece of code that cannot disagree on wire order or
+// kinds. A load writes through every pointer it visits, so on a load
+// error the object is partially overwritten and must be discarded.
+// Code branches on Loading only for state not on the wire: allocations
+// sized by a visited count, and fields derived from visited ones.
+type Codec struct {
+	e *Enc
+	d *Dec
+	f interface {
+		Header()
+		Begin(name string)
+		End()
+	}
+}
+
+// Loading reports whether the codec reads (true) or writes (false).
+func (c *Codec) Loading() bool { return c.d != nil }
+
+// Err returns the first error of the underlying Enc or Dec.
+func (c *Codec) Err() error {
+	if c.d != nil {
+		return c.d.err
+	}
+	return c.e.err
+}
+
+// Header visits the checkpoint preamble.
+func (c *Codec) Header() { c.f.Header() }
+
+// Begin visits the start of the named section.
+func (c *Codec) Begin(name string) { c.f.Begin(name) }
+
+// End visits the end of the open section.
+func (c *Codec) End() { c.f.End() }
+
+// U8 visits one byte.
+func (c *Codec) U8(p *uint8) {
+	if c.d != nil {
+		*p = c.d.U8()
+	} else {
+		c.e.U8(*p)
+	}
+}
+
+// U64 visits a fixed-width little-endian uint64.
+func (c *Codec) U64(p *uint64) {
+	if c.d != nil {
+		*p = c.d.U64()
+	} else {
+		c.e.U64(*p)
+	}
+}
+
+// Uvarint visits an unsigned varint.
+func (c *Codec) Uvarint(p *uint64) {
+	if c.d != nil {
+		*p = c.d.Uvarint()
+	} else {
+		c.e.Uvarint(*p)
+	}
+}
+
+// Svarint visits a zig-zag signed varint.
+func (c *Codec) Svarint(p *int64) {
+	if c.d != nil {
+		*p = c.d.Svarint()
+	} else {
+		c.e.Svarint(*p)
+	}
+}
+
+// Int visits a signed integer (zig-zag varint, range-checked into int
+// on load).
+func (c *Codec) Int(p *int) {
+	if c.d != nil {
+		*p = c.d.Int()
+	} else {
+		c.e.Svarint(int64(*p))
+	}
+}
+
+// Int32 visits a signed 32-bit integer (zig-zag varint, range-checked
+// on load).
+func (c *Codec) Int32(p *int32) {
+	if c.d != nil {
+		*p = c.d.Int32()
+	} else {
+		c.e.Svarint(int64(*p))
+	}
+}
+
+// Int32In visits an Int32 id or link that must lie in [lo, hi).
+func (c *Codec) Int32In(p *int32, lo, hi int32, what string) {
+	if c.d == nil {
+		c.e.Svarint(int64(*p))
+		return
+	}
+	if *p = c.d.Int32(); c.d.err == nil && (*p < lo || *p >= hi) {
+		c.d.corrupt("section %q: %s %d outside [%d, %d)", c.d.name, what, *p, lo, hi)
+	}
+}
+
+// Bool visits a boolean as one byte.
+func (c *Codec) Bool(p *bool) {
+	if c.d != nil {
+		*p = c.d.Bool()
+	} else {
+		c.e.Bool(*p)
+	}
+}
+
+// String visits a length-prefixed string.
+func (c *Codec) String(p *string) {
+	if c.d != nil {
+		*p = c.d.String()
+	} else {
+		c.e.String(*p)
+	}
+}
+
+// Len visits the element count of a slice whose elements occupy at
+// least elemSize payload bytes each (see Dec.Len).
+func (c *Codec) Len(p *int, elemSize int) {
+	if c.d != nil {
+		*p = c.d.Len(elemSize)
+	} else {
+		c.e.Uvarint(uint64(*p))
+	}
+}
+
+// Cap visits a slice capacity, which must be at least n on load (see
+// Dec.Cap).
+func (c *Codec) Cap(p *int, n int) {
+	if c.d != nil {
+		*p = c.d.Cap(n)
+	} else {
+		c.e.Uvarint(uint64(*p))
+	}
+}
+
+// Count visits a bare count not backed byte for byte by payload (see
+// Dec.Count).
+func (c *Codec) Count(p *int) {
+	if c.d != nil {
+		*p = c.d.Count()
+	} else {
+		c.e.Uvarint(uint64(*p))
+	}
+}
+
+// Remaining reports the unread payload bytes of the open section on
+// load (0 on save), for bounds a per-element minimum cannot express.
+func (c *Codec) Remaining() int {
+	if c.d == nil {
+		return 0
+	}
+	return c.d.remaining()
+}
+
+// Check validates a loaded value: on load a false ok latches a
+// corruption error built from format and args. Saving never fails a
+// check. It reports whether the codec is still error-free, so callers
+// stop before a bad value sizes an allocation or indexes state. The
+// args are boxed on every call, so checks inside per-element loops
+// pass none.
+func (c *Codec) Check(ok bool, format string, args ...any) bool {
+	if !ok && c.d != nil {
+		c.d.corrupt(format, args...)
+	}
+	return c.Err() == nil
+}
+
+// SaveLoader is the checkpoint shape vt.Clock fixes for every clock:
+// Save into an Enc, Load from a Dec. Implementations route both onto
+// their one codec method.
+type SaveLoader interface {
+	Save(*Enc)
+	Load(*Dec)
+}
+
+// Clock visits a value of the SaveLoader shape; after an error it
+// does nothing, so a load never reaches a clock it did not create.
+func (c *Codec) Clock(v SaveLoader) {
+	if c.Err() != nil {
+		return
+	}
+	if c.d != nil {
+		v.Load(c.d)
+	} else {
+		v.Save(c.e)
+	}
+}
+
+// Slice visits a slice's length (elemSize bounds it as in Len) and
+// reports whether the codec is error-free. A load replaces *s with a
+// zeroed slice of that length (nil when zero) for the caller to visit.
+func Slice[S ~[]E, E any](c *Codec, s *S, elemSize int) bool {
+	n := len(*s)
+	c.Len(&n, elemSize)
+	if c.d != nil && c.d.err == nil {
+		*s = nil
+		if n > 0 {
+			*s = make(S, n)
+		}
+	}
+	return c.Err() == nil
+}
+
+// Map visits a map as a count followed by its entries in ascending key
+// order, so identical state always encodes to identical bytes; entry
+// visits one key and its value. On load *m is replaced by a fresh map,
+// and keys must arrive strictly ascending, as a save writes them.
+// elemSize bounds the count as in Len.
+func Map[K cmp.Ordered, V any](c *Codec, m *map[K]V, elemSize int, entry func(c *Codec, k *K, v *V)) {
+	var k, prev K // one pair per call: entry's pointers escape
+	var v V
+	if c.d == nil {
+		keys := make([]K, 0, len(*m))
+		for key := range *m {
+			keys = append(keys, key)
+		}
+		slices.Sort(keys)
+		c.e.Uvarint(uint64(len(keys)))
+		for _, k = range keys {
+			v = (*m)[k]
+			entry(c, &k, &v)
+		}
+		return
+	}
+	n := c.d.Len(elemSize)
+	if c.d.err != nil {
+		return
+	}
+	*m = make(map[K]V, n)
+	for i := 0; i < n; i++ {
+		var zero V
+		v = zero
+		entry(c, &k, &v)
+		if !c.Check(i == 0 || prev < k, "map keys out of order") {
+			return
+		}
+		prev = k
+		(*m)[k] = v
+	}
 }

@@ -14,9 +14,9 @@
 //
 // Structured payloads — the open request, the final result, position
 // notices — reuse the internal/ckpt section format (versioned,
-// CRC-checked), so the daemon's wire encoding inherits the same
-// defensive decoding as checkpoints and the same save*/load* symmetry
-// the ckptsym analyzer checks. Event batches are the hot path and use
+// CRC-checked), each visited by one ckpt.Codec function for both
+// directions, so the daemon's wire encoding inherits the same
+// defensive decoding as checkpoints. Event batches are the hot path and use
 // a bare varint encoding instead: a count followed by (kind, thread,
 // operand) triples per event.
 package daemon
@@ -93,11 +93,20 @@ func readFrame(r *bufio.Reader) (typ byte, payload []byte, err error) {
 	if n < 1 || n > maxFrame {
 		return 0, nil, fmt.Errorf("daemon: frame length %d out of range (max %d)", n, maxFrame)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
+	// The length is only a claim: a large frame is read in chunks that
+	// at most double what already arrived, so a stream that ends early
+	// fails before the claimed size is allocated.
+	size := int(n)
+	buf := make([]byte, min(size, 1<<16))
+	for off := 0; ; {
+		if _, err := io.ReadFull(r, buf[off:]); err != nil {
+			return 0, nil, err
+		}
+		if off = len(buf); off == size {
+			return buf[0], buf[1:], nil
+		}
+		buf = append(buf, make([]byte, min(size-off, off))...)
 	}
-	return buf[0], buf[1:], nil
 }
 
 // openSpec is the session-open request: which engine to run, under
@@ -127,227 +136,165 @@ type openSpec struct {
 	Resume bool
 }
 
-// saveOpen encodes an open request.
-func saveOpen(e *ckpt.Enc, spec *openSpec) error {
-	e.Header()
-	e.Begin("open")
-	e.String(spec.ID)
-	e.String(spec.Engine)
-	e.Int(spec.Workers)
-	e.Bool(spec.FlatWeak)
-	e.Bool(spec.NoAnalysis)
-	e.Bool(spec.SlotReclaim)
-	e.Int(spec.SummaryCap)
-	e.Bool(spec.Resume)
-	e.End()
-	return e.Err()
+// openCodec visits an open request.
+func openCodec(c *ckpt.Codec, spec *openSpec) error {
+	c.Header()
+	c.Begin("open")
+	c.String(&spec.ID)
+	c.String(&spec.Engine)
+	c.Int(&spec.Workers)
+	c.Bool(&spec.FlatWeak)
+	c.Bool(&spec.NoAnalysis)
+	c.Bool(&spec.SlotReclaim)
+	c.Int(&spec.SummaryCap)
+	c.Bool(&spec.Resume)
+	c.End()
+	return c.Err()
 }
 
-// loadOpen decodes an open request.
-func loadOpen(d *ckpt.Dec) (*openSpec, error) {
-	d.Header()
-	d.Begin("open")
-	spec := &openSpec{
-		ID:          d.String(),
-		Engine:      d.String(),
-		Workers:     d.Int(),
-		FlatWeak:    d.Bool(),
-		NoAnalysis:  d.Bool(),
-		SlotReclaim: d.Bool(),
-		SummaryCap:  d.Int(),
-		Resume:      d.Bool(),
-	}
-	d.End()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return spec, nil
-}
-
-// saveResult encodes a final StreamResult — every field, in
+// resultCodec visits a final StreamResult — every field, in
 // declaration order, so the daemon's reply is a faithful transcript of
 // the library's answer (the differential suite compares these bytes).
-func saveResult(e *ckpt.Enc, res *treeclock.StreamResult) error {
-	e.Header()
-	e.Begin("result")
-	e.String(res.Engine)
-	e.String(res.Meta.Name)
-	e.Int(res.Meta.Threads)
-	e.Int(res.Meta.Locks)
-	e.Int(res.Meta.Vars)
-	e.U64(res.Events)
-	e.U64(res.Summary.Total)
-	e.U64(res.Summary.WriteWrite)
-	e.U64(res.Summary.WriteRead)
-	e.U64(res.Summary.ReadWrite)
-	e.Int(res.Summary.Vars)
-	e.Uvarint(uint64(len(res.Samples)))
-	for _, p := range res.Samples {
-		e.U8(uint8(p.Kind))
-		e.Int32(p.Var)
-		e.Int32(int32(p.Prior.T))
-		e.Int32(int32(p.Prior.Clk))
-		e.Int32(int32(p.Access.T))
-		e.Int32(int32(p.Access.Clk))
+// A load reconstructs the exact shape the library produces (nil sample
+// slice when empty, per-thread timestamp vectors, optional MemStats).
+func resultCodec(c *ckpt.Codec, res *treeclock.StreamResult) error {
+	c.Header()
+	c.Begin("result")
+	c.String(&res.Engine)
+	c.String(&res.Meta.Name)
+	c.Int(&res.Meta.Threads)
+	c.Int(&res.Meta.Locks)
+	c.Int(&res.Meta.Vars)
+	c.U64(&res.Events)
+	c.U64(&res.Summary.Total)
+	c.U64(&res.Summary.WriteWrite)
+	c.U64(&res.Summary.WriteRead)
+	c.U64(&res.Summary.ReadWrite)
+	c.Int(&res.Summary.Vars)
+	ckpt.Slice(c, &res.Samples, 6)
+	for i := range res.Samples {
+		p := &res.Samples[i]
+		c.U8((*uint8)(&p.Kind))
+		c.Int32(&p.Var)
+		c.Int32((*int32)(&p.Prior.T))
+		c.Int32((*int32)(&p.Prior.Clk))
+		c.Int32((*int32)(&p.Access.T))
+		c.Int32((*int32)(&p.Access.Clk))
 	}
-	e.End()
-	e.Begin("timestamps")
-	e.Uvarint(uint64(len(res.Timestamps)))
-	for _, v := range res.Timestamps {
-		e.Uvarint(uint64(len(v)))
-		for _, t := range v {
-			e.Int32(int32(t))
+	c.End()
+	c.Begin("timestamps")
+	n := len(res.Timestamps)
+	c.Len(&n, 1)
+	// Each vector costs a 24-byte slice header however short its wire
+	// form, so the count is also bounded by a third of the section:
+	// decoding stays within 8× the payload. A real result holds k
+	// vectors of k entries, at least k(k+1) bytes, so only k = 1 needs
+	// the slack.
+	if !c.Check(n <= 1 || 3*n <= c.Remaining(), "timestamp count %d exceeds payload", n) {
+		return c.Err()
+	}
+	if c.Loading() {
+		res.Timestamps = make([]treeclock.Vector, n)
+	}
+	for i := range res.Timestamps {
+		v := &res.Timestamps[i]
+		m := len(*v)
+		c.Len(&m, 1)
+		if c.Loading() && c.Err() == nil {
+			*v = make(treeclock.Vector, m)
+		}
+		for j := range *v {
+			c.Int32((*int32)(&(*v)[j]))
 		}
 	}
-	e.End()
-	e.Begin("mem")
-	e.Bool(res.Mem != nil)
-	if res.Mem != nil {
+	c.End()
+	c.Begin("mem")
+	hasMem := res.Mem != nil
+	c.Bool(&hasMem)
+	if hasMem {
+		if c.Loading() {
+			res.Mem = &treeclock.MemStats{}
+		}
 		m := res.Mem
-		e.Int(m.HistEntries)
-		e.Int(m.PeakLockHist)
-		e.U64(m.DroppedEntries)
-		e.U64(m.RetainedBytes)
-		e.Int(m.SummaryVectors)
-		e.Int(m.FreeVectors)
-		e.U64(m.SummaryEvictions)
-		e.Int(m.ThreadSlots)
-		e.Int(m.FreeSlots)
-		e.U64(m.RetiredSlots)
-		e.U64(m.ReusedSlots)
-		e.Int(m.InternedNames)
-		e.U64(m.InternEvictions)
+		c.Int(&m.HistEntries)
+		c.Int(&m.PeakLockHist)
+		c.U64(&m.DroppedEntries)
+		c.U64(&m.RetainedBytes)
+		c.Int(&m.SummaryVectors)
+		c.Int(&m.FreeVectors)
+		c.U64(&m.SummaryEvictions)
+		c.Int(&m.ThreadSlots)
+		c.Int(&m.FreeSlots)
+		c.U64(&m.RetiredSlots)
+		c.U64(&m.ReusedSlots)
+		c.Int(&m.InternedNames)
+		c.U64(&m.InternEvictions)
 	}
-	e.End()
-	return e.Err()
+	c.End()
+	return c.Err()
 }
 
-// loadResult decodes a StreamResult, reconstructing the exact shape
-// the library produces (nil sample slice when empty, per-thread
-// timestamp vectors, optional MemStats).
-func loadResult(d *ckpt.Dec) (*treeclock.StreamResult, error) {
-	d.Header()
-	d.Begin("result")
-	res := &treeclock.StreamResult{Engine: d.String()}
-	res.Meta.Name = d.String()
-	res.Meta.Threads = d.Int()
-	res.Meta.Locks = d.Int()
-	res.Meta.Vars = d.Int()
-	res.Events = d.U64()
-	res.Summary.Total = d.U64()
-	res.Summary.WriteWrite = d.U64()
-	res.Summary.WriteRead = d.U64()
-	res.Summary.ReadWrite = d.U64()
-	res.Summary.Vars = d.Int()
-	if n := d.Len(6); n > 0 {
-		res.Samples = make([]treeclock.Race, n)
-		for i := range res.Samples {
-			p := &res.Samples[i]
-			p.Kind = treeclock.RaceKind(d.U8())
-			p.Var = d.Int32()
-			p.Prior.T = vt.TID(d.Int32())
-			p.Prior.Clk = vt.Time(d.Int32())
-			p.Access.T = vt.TID(d.Int32())
-			p.Access.Clk = vt.Time(d.Int32())
-		}
-	}
-	d.End()
-	d.Begin("timestamps")
-	res.Timestamps = make([]treeclock.Vector, d.Len(1))
-	for i := range res.Timestamps {
-		v := make(treeclock.Vector, d.Len(1))
-		for j := range v {
-			v[j] = vt.Time(d.Int32())
-		}
-		res.Timestamps[i] = v
-	}
-	d.End()
-	d.Begin("mem")
-	if d.Bool() {
-		m := &treeclock.MemStats{}
-		m.HistEntries = d.Int()
-		m.PeakLockHist = d.Int()
-		m.DroppedEntries = d.U64()
-		m.RetainedBytes = d.U64()
-		m.SummaryVectors = d.Int()
-		m.FreeVectors = d.Int()
-		m.SummaryEvictions = d.U64()
-		m.ThreadSlots = d.Int()
-		m.FreeSlots = d.Int()
-		m.RetiredSlots = d.U64()
-		m.ReusedSlots = d.U64()
-		m.InternedNames = d.Int()
-		m.InternEvictions = d.U64()
-		res.Mem = m
-	}
-	d.End()
-	if err := d.Err(); err != nil {
+// posNotice is a position notice (opened, detached, evicted — the
+// reason string is empty except for evictions).
+type posNotice struct {
+	pos    uint64
+	reason string
+}
+
+// posCodec visits a position notice.
+func posCodec(c *ckpt.Codec, n *posNotice) error {
+	c.Header()
+	c.Begin("pos")
+	c.U64(&n.pos)
+	c.String(&n.reason)
+	c.End()
+	return c.Err()
+}
+
+// encode marshals one structured payload through its codec.
+func encode[T any](visit func(*ckpt.Codec, *T) error, v *T) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := visit(ckpt.NewEnc(&buf).Codec(), v); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return buf.Bytes(), nil
 }
 
-// savePos encodes a position notice (opened, detached, evicted — the
-// reason string is empty except for evictions).
-func savePos(e *ckpt.Enc, pos uint64, reason string) error {
-	e.Header()
-	e.Begin("pos")
-	e.U64(pos)
-	e.String(reason)
-	e.End()
-	return e.Err()
-}
-
-// loadPos decodes a position notice.
-func loadPos(d *ckpt.Dec) (pos uint64, reason string, err error) {
-	d.Header()
-	d.Begin("pos")
-	pos = d.U64()
-	reason = d.String()
-	d.End()
-	return pos, reason, d.Err()
+// decode unmarshals one structured payload through its codec.
+func decode[T any](visit func(*ckpt.Codec, *T) error, payload []byte) (*T, error) {
+	v := new(T)
+	if err := visit(ckpt.NewDec(bytes.NewReader(payload)).Codec(), v); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // encodeOpen marshals an open request into one frame payload.
-func encodeOpen(spec *openSpec) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := saveOpen(ckpt.NewEnc(&buf), spec); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+func encodeOpen(spec *openSpec) ([]byte, error) { return encode(openCodec, spec) }
 
 // decodeOpen unmarshals an open request frame payload.
-func decodeOpen(payload []byte) (*openSpec, error) {
-	return loadOpen(ckpt.NewDec(bytes.NewReader(payload)))
-}
+func decodeOpen(payload []byte) (*openSpec, error) { return decode(openCodec, payload) }
 
 // encodeResult marshals a StreamResult into one frame payload.
-func encodeResult(res *treeclock.StreamResult) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := saveResult(ckpt.NewEnc(&buf), res); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+func encodeResult(res *treeclock.StreamResult) ([]byte, error) { return encode(resultCodec, res) }
 
 // decodeResult unmarshals a result frame payload.
 func decodeResult(payload []byte) (*treeclock.StreamResult, error) {
-	return loadResult(ckpt.NewDec(bytes.NewReader(payload)))
+	return decode(resultCodec, payload)
 }
 
 // encodePos marshals a position notice into one frame payload.
 func encodePos(pos uint64, reason string) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := savePos(ckpt.NewEnc(&buf), pos, reason); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return encode(posCodec, &posNotice{pos, reason})
 }
 
 // decodePos unmarshals a position notice frame payload.
-func decodePos(payload []byte) (uint64, string, error) {
-	return loadPos(ckpt.NewDec(bytes.NewReader(payload)))
+func decodePos(payload []byte) (pos uint64, reason string, err error) {
+	n, err := decode(posCodec, payload)
+	if err != nil {
+		return 0, "", err
+	}
+	return n.pos, n.reason, nil
 }
 
 // encodeEvents appends an event batch in the bare hot-path encoding:
@@ -374,6 +321,11 @@ func decodeEvents(payload []byte, buf []trace.Event) ([]trace.Event, error) {
 	payload = payload[k:]
 	if n > maxEventsPerFrame {
 		return nil, fmt.Errorf("daemon: events frame: count %d exceeds limit %d", n, maxEventsPerFrame)
+	}
+	// An event takes at least 3 bytes, so reject a count the payload
+	// cannot hold before buf grows to it.
+	if n > uint64(len(payload))/3 {
+		return nil, fmt.Errorf("daemon: events frame: count %d exceeds the %d-byte payload", n, len(payload))
 	}
 	if uint64(cap(buf)) < n {
 		buf = make([]trace.Event, n)

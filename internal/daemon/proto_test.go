@@ -1,13 +1,17 @@
 package daemon
 
 import (
+	"bufio"
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"treeclock"
+	"treeclock/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -93,4 +97,52 @@ func TestProtoGolden(t *testing.T) {
 			t.Errorf("%s: decoding golden: %v", tc.name, err)
 		}
 	}
+}
+
+// FuzzDaemonFrame feeds arbitrary bytes to readFrame and to each
+// payload decoder: none may panic, and none may allocate more than a
+// small multiple of the input — a hostile length or count must fail
+// before it sizes an allocation.
+func FuzzDaemonFrame(f *testing.F) {
+	open, _ := encodeOpen(&openSpec{ID: "s", Engine: "hb-tree", Workers: 2})
+	res, _ := encodeResult(goldenResult())
+	pos, _ := encodePos(42, "detached")
+	evs := encodeEvents(nil, []trace.Event{{T: 1, Obj: 2, Kind: trace.Write}, {T: 0, Obj: 1, Kind: trace.Fork}})
+	for _, p := range [][]byte{open, res, pos, evs} {
+		f.Add(p)
+		var frame bytes.Buffer
+		w := bufio.NewWriter(&frame)
+		if err := writeFrame(w, frameEvents, p); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame.Bytes())
+	}
+	f.Add([]byte{0x00, 0x40, 0x00, 0x00, 'E'})      // claims a 4 MiB frame
+	f.Add([]byte{0x80, 0x80, 0x40, 0x00, 0x00})     // events: 2^20 claimed, no payload
+	f.Add(append([]byte("TCKP\x02"), res[5:20]...)) // truncated result
+	empty, _ := encodeResult(&treeclock.StreamResult{Timestamps: make([]treeclock.Vector, 200_000)})
+	f.Add(empty) // 200k one-byte timestamp vectors
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decode := []func(){
+			func() { readFrame(bufio.NewReader(bytes.NewReader(data))) },
+			func() { decodeOpen(data) },
+			func() { decodeResult(data) },
+			func() { decodePos(data) },
+			func() { decodeEvents(data, nil) },
+		}
+		for i, fn := range decode {
+			if got, limit := allocated(fn), uint64(16*len(data)+1<<18); got > limit {
+				t.Fatalf("decoder %d allocated %d bytes for a %d-byte input (limit %d)", i, got, len(data), limit)
+			}
+		}
+	})
+}
+
+// allocated reports the bytes fn allocates on the heap.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

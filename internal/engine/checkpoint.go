@@ -1,226 +1,145 @@
 package engine
 
 // Checkpoint/restore for the shared runtime (see internal/ckpt for the
-// wire format). The runtime serializes everything it owns — the
-// per-thread and per-lock clocks, the event and identifier counters,
-// and the attached detector/accumulator — and then hands the stream to
-// the semantics plugin, which appends its own sections. Restore
-// mirrors the order exactly. Shard predicates (analysis.SetShard) are
-// runtime configuration, not analysis state: the caller re-binds them
-// when it reconstructs the engine, before calling Restore.
+// wire format). The runtime visits everything it owns — the per-thread
+// and per-lock clocks, the event and identifier counters, the slot
+// table and the attached detector/accumulator — and then hands the
+// codec to the semantics plugin, which visits its own sections. Shard
+// predicates (analysis.SetShard) are runtime configuration, not
+// analysis state: the caller re-binds them when it reconstructs the
+// engine, before loading.
 //
 // A restored runtime is crash-equivalent: its reports, timestamps and
 // retained-state accounting are byte-identical to the uninterrupted
 // run's from the checkpointed event onward (pinned by the root-level
-// crash-equivalence harness). On any error the runtime may be left
+// crash-equivalence harness). On any load error the runtime is left
 // partially overwritten and must be discarded.
 
 import (
 	"fmt"
-	"io"
-	"sort"
 
 	"treeclock/internal/ckpt"
 	"treeclock/internal/vt"
 )
 
 // CheckpointSemantics is the checkpoint/restore extension of Semantics:
-// plugins that support crash-safe analysis serialize their full state
-// into a writer (as internal/ckpt sections) and restore it from a
-// reader. The runtime detects the extension once at construction, like
-// LockSemantics and MemReporter; Runtime.Snapshot fails cleanly for
-// plugins without it.
+// plugins that support crash-safe analysis visit their full state as
+// internal/ckpt sections. The runtime detects the extension once at
+// construction, like LockSemantics and MemReporter; Runtime.Checkpoint
+// fails cleanly for plugins without it.
 type CheckpointSemantics[C vt.Clock[C]] interface {
 	Semantics[C]
-	// Snapshot serializes the plugin's complete state into w. rt is the
-	// runtime the plugin is bound to (identifier spaces, clocks).
-	Snapshot(rt *Runtime[C], w io.Writer) error
-	// Restore replaces the plugin's state with one written by Snapshot.
-	// It must run on a freshly constructed plugin bound to rt, returns
-	// errors wrapping ckpt.ErrCorrupt for malformed input, and never
-	// panics.
-	Restore(rt *Runtime[C], r io.Reader) error
+	// Checkpoint visits the plugin's complete state through c. rt is
+	// the runtime the plugin is bound to (identifier spaces, clocks). A
+	// load must run on a freshly constructed plugin bound to rt, returns
+	// errors wrapping ckpt.ErrCorrupt for malformed input, never panics,
+	// and on error leaves the plugin to be discarded.
+	Checkpoint(rt *Runtime[C], c *ckpt.Codec) error
 }
 
 // Checkpointable reports whether the bound semantics plugin supports
 // checkpoint/restore.
 func (r *Runtime[C]) Checkpointable() bool { return r.ckptSem != nil }
 
-// Snapshot serializes the runtime's complete analysis state — clocks,
-// counters, detector/accumulator, plugin state — into w.
-func (r *Runtime[C]) Snapshot(w io.Writer) error {
+// Checkpoint visits the runtime's complete analysis state — clocks,
+// counters, detector/accumulator, plugin state. A load requires a
+// freshly constructed runtime with the same semantics, clock type and
+// analysis configuration (EnableRaceDetection / EnableAnalysis /
+// EnableSlotReclaim) as the run that produced the checkpoint; a
+// mismatch is reported as corruption. On a load error the runtime must
+// be discarded.
+func (r *Runtime[C]) Checkpoint(c *ckpt.Codec) error {
 	if r.ckptSem == nil {
 		return fmt.Errorf("engine: semantics %T does not support checkpointing", r.sem)
 	}
-	e := ckpt.NewEnc(w)
-	e.Begin("engine")
-	e.String(r.name)
-	e.Uvarint(uint64(r.vars))
-	e.U64(r.events)
-	e.Uvarint(uint64(len(r.threads)))
-	for _, c := range r.threads {
-		c.Save(e)
+	c.Begin("engine")
+	// Reserved: the slot of an engine name no run ever set. Saved empty;
+	// a load reads and discards it.
+	var reserved string
+	c.String(&reserved)
+	c.Count(&r.vars)
+	c.U64(&r.events)
+	ckpt.Slice(c, &r.threads, 1)
+	// Clocks are created one at a time and the loop stops at the first
+	// error, so a corrupt count cannot make a load allocate more than
+	// one clock past the payload it actually holds.
+	for i := 0; i < len(r.threads) && c.Err() == nil; i++ {
+		if c.Loading() {
+			r.threads[i] = r.factory(len(r.threads))
+		}
+		c.Clock(r.threads[i])
 	}
-	e.Uvarint(uint64(len(r.locks)))
-	for l := range r.locks {
-		e.Bool(r.lockSet[l])
+	ckpt.Slice(c, &r.locks, 1)
+	if c.Loading() {
+		r.lockSet = make([]bool, len(r.locks))
+	}
+	for l := 0; l < len(r.locks) && c.Err() == nil; l++ {
+		c.Bool(&r.lockSet[l])
 		if r.lockSet[l] {
-			r.locks[l].Save(e)
+			if c.Loading() {
+				r.locks[l] = r.factory(len(r.threads))
+			}
+			c.Clock(r.locks[l])
 		}
 	}
-	e.Bool(r.slots != nil)
-	if s := r.slots; s != nil {
-		e.Uvarint(uint64(s.next))
-		e.U64(s.retired)
-		e.U64(s.reused)
-		e.Uvarint(uint64(len(s.free)))
-		for _, f := range s.free {
-			e.Uvarint(uint64(f))
-		}
-		ext := make([]vt.TID, 0, len(s.extern))
-		for u := range s.extern {
-			ext = append(ext, u)
-		}
-		sort.Slice(ext, func(i, j int) bool { return ext[i] < ext[j] })
-		e.Uvarint(uint64(len(ext)))
-		for _, u := range ext {
-			e.Uvarint(uint64(u))
-			e.Uvarint(uint64(s.extern[u]))
-		}
+	hasSlots := r.slots != nil
+	c.Bool(&hasSlots)
+	if !c.Check(hasSlots == (r.slots != nil), "slot-reclamation configuration mismatch (checkpoint %v, engine %v)", hasSlots, r.slots != nil) {
+		return c.Err()
 	}
-	e.End()
-	e.Begin("analysis")
-	e.Bool(r.det != nil)
-	e.Bool(r.acc != nil)
+	if hasSlots {
+		r.slots.checkpoint(c)
+	}
+	c.End()
+	c.Begin("analysis")
+	hasDet, hasAcc := r.det != nil, r.acc != nil
+	c.Bool(&hasDet)
+	c.Bool(&hasAcc)
+	if !c.Check(hasDet == (r.det != nil) && hasAcc == (r.acc != nil),
+		"analysis configuration mismatch (checkpoint det=%v acc=%v, engine det=%v acc=%v)",
+		hasDet, hasAcc, r.det != nil, r.acc != nil) {
+		return c.Err()
+	}
 	if r.det != nil {
-		r.det.Save(e) // includes its accumulator
+		r.det.Checkpoint(c) // includes its accumulator
 	} else if r.acc != nil {
-		r.acc.Save(e)
+		r.acc.Checkpoint(c)
 	}
-	e.End()
-	if err := e.Err(); err != nil {
+	c.End()
+	if err := c.Err(); err != nil {
 		return err
 	}
-	return r.ckptSem.Snapshot(r, w)
+	return r.ckptSem.Checkpoint(r, c)
 }
 
-// Restore replaces the runtime's state with one written by Snapshot.
-// The runtime must be freshly constructed with the same semantics,
-// clock type and analysis configuration (EnableRaceDetection /
-// EnableAnalysis) as the run that produced the checkpoint; a mismatch
-// is reported as corruption. On error the runtime must be discarded.
-func (r *Runtime[C]) Restore(rd io.Reader) error {
-	if r.ckptSem == nil {
-		return fmt.Errorf("engine: semantics %T does not support checkpointing", r.sem)
+// checkpoint visits the slot table. Loaded free slots must ascend
+// below the high-water mark, and every external thread must map below
+// it (ckpt.Map requires the external ids themselves to ascend).
+func (s *slotTable) checkpoint(c *ckpt.Codec) {
+	next := uint64(s.next)
+	c.Uvarint(&next)
+	if !c.Check(next <= uint64(vt.MaxID), "slot high-water mark %d out of range", next) {
+		return
 	}
-	d := ckpt.NewDec(rd)
-	d.Begin("engine")
-	name := d.String()
-	vars := d.Count()
-	events := d.U64()
-	nt := d.Len(1)
-	if d.Err() != nil {
-		return d.Err()
+	s.next = vt.TID(next)
+	c.U64(&s.retired)
+	c.U64(&s.reused)
+	if !ckpt.Slice(c, &s.free, 1) {
+		return
 	}
-	threads := make([]C, 0, nt)
-	for i := 0; i < nt; i++ {
-		c := r.factory(nt)
-		c.Load(d)
-		if d.Err() != nil {
-			return d.Err()
+	for i := range s.free {
+		f := uint64(s.free[i])
+		c.Uvarint(&f)
+		if !c.Check(f < next && (i == 0 || vt.TID(f) > s.free[i-1]), "free slot list entry not ascending below the high-water mark") {
+			return
 		}
-		threads = append(threads, c)
+		s.free[i] = vt.TID(f)
 	}
-	nl := d.Len(1)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	locks := make([]C, nl)
-	lockSet := make([]bool, nl)
-	for l := 0; l < nl; l++ {
-		if d.Bool() {
-			c := r.factory(nt)
-			c.Load(d)
-			if d.Err() != nil {
-				return d.Err()
-			}
-			locks[l], lockSet[l] = c, true
-		}
-	}
-	hasSlots := d.Bool()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if hasSlots != (r.slots != nil) {
-		d.Corruptf("slot-reclamation configuration mismatch (checkpoint %v, engine %v)", hasSlots, r.slots != nil)
-		return d.Err()
-	}
-	var slots *slotTable
-	if hasSlots {
-		slots = &slotTable{extern: make(map[vt.TID]vt.TID)}
-		next := d.Uvarint()
-		if next > uint64(vt.MaxID) {
-			d.Corruptf("slot high-water mark %d out of range", next)
-			return d.Err()
-		}
-		slots.next = vt.TID(next)
-		slots.retired = d.U64()
-		slots.reused = d.U64()
-		nf := d.Len(1)
-		slots.free = make([]vt.TID, 0, nf)
-		prev := vt.None
-		for i := 0; i < nf; i++ {
-			f := d.Uvarint()
-			if d.Err() != nil {
-				return d.Err()
-			}
-			if f >= next || vt.TID(f) <= prev {
-				d.Corruptf("free slot list entry %d not ascending below %d", f, next)
-				return d.Err()
-			}
-			prev = vt.TID(f)
-			slots.free = append(slots.free, vt.TID(f))
-		}
-		ne := d.Len(2)
-		prev = vt.None
-		for i := 0; i < ne; i++ {
-			u, slot := d.Uvarint(), d.Uvarint()
-			if d.Err() != nil {
-				return d.Err()
-			}
-			if u > uint64(vt.MaxID) || vt.TID(u) <= prev || slot >= next {
-				d.Corruptf("external thread map entry (%d -> %d) invalid", u, slot)
-				return d.Err()
-			}
-			prev = vt.TID(u)
-			slots.extern[vt.TID(u)] = vt.TID(slot)
-		}
-	}
-	d.End()
-	d.Begin("analysis")
-	hasDet := d.Bool()
-	hasAcc := d.Bool()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if hasDet != (r.det != nil) || hasAcc != (r.acc != nil) {
-		d.Corruptf("analysis configuration mismatch (checkpoint det=%v acc=%v, engine det=%v acc=%v)",
-			hasDet, hasAcc, r.det != nil, r.acc != nil)
-		return d.Err()
-	}
-	if r.det != nil {
-		r.det.Load(d)
-	} else if r.acc != nil {
-		r.acc.Load(d)
-	}
-	d.End()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	r.name, r.vars, r.events = name, vars, events
-	r.threads, r.locks, r.lockSet = threads, locks, lockSet
-	if hasSlots {
-		r.slots = slots
-	}
-	return r.ckptSem.Restore(r, rd)
+	ckpt.Map(c, &s.extern, 2, func(c *ckpt.Codec, u, slot *vt.TID) {
+		uu, ss := uint64(*u), uint64(*slot)
+		c.Uvarint(&uu)
+		c.Uvarint(&ss)
+		c.Check(uu <= uint64(vt.MaxID) && ss < next, "external thread map entry invalid")
+		*u, *slot = vt.TID(uu), vt.TID(ss)
+	})
 }

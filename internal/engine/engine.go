@@ -171,7 +171,6 @@ type Runtime[C vt.Clock[C]] struct {
 	acc       *analysis.Accumulator
 	events    uint64
 	vars      int // variable-id high-water mark (for Meta reporting)
-	name      string
 }
 
 // New returns a dynamically growing runtime: it assumes nothing about
@@ -256,7 +255,7 @@ func (r *Runtime[C]) Threads() int { return len(r.threads) }
 
 // Meta reports the identifier spaces seen so far.
 func (r *Runtime[C]) Meta() trace.Meta {
-	return trace.Meta{Name: r.name, Threads: len(r.threads), Locks: len(r.locks), Vars: r.vars}
+	return trace.Meta{Threads: len(r.threads), Locks: len(r.locks), Vars: r.vars}
 }
 
 // EnableRaceDetection attaches a FastTrack-style detector (the

@@ -1,27 +1,16 @@
 package hb
 
 import (
-	"io"
-
 	"treeclock/internal/ckpt"
 	"treeclock/internal/engine"
 )
 
-// Snapshot implements engine.CheckpointSemantics. HB keeps no plugin
+// Checkpoint implements engine.CheckpointSemantics. HB keeps no plugin
 // state of its own — the clocks and the detector live in the runtime —
 // so the section exists only to keep the checkpoint's section sequence
 // aligned and misdirected streams detectable.
-func (Semantics[C]) Snapshot(rt *engine.Runtime[C], w io.Writer) error {
-	e := ckpt.NewEnc(w)
-	e.Begin("hb")
-	e.End()
-	return e.Err()
-}
-
-// Restore implements engine.CheckpointSemantics.
-func (Semantics[C]) Restore(rt *engine.Runtime[C], r io.Reader) error {
-	d := ckpt.NewDec(r)
-	d.Begin("hb")
-	d.End()
-	return d.Err()
+func (Semantics[C]) Checkpoint(rt *engine.Runtime[C], c *ckpt.Codec) error {
+	c.Begin("hb")
+	c.End()
+	return c.Err()
 }

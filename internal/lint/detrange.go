@@ -15,7 +15,9 @@ import (
 // Two rule families:
 //
 //  1. Everywhere: inside the body of a `range` over a map, it flags
-//     (a) any write to a checkpoint encoder (*ckpt.Enc method call),
+//     (a) any checkpoint write: a method call on a *ckpt.Enc or
+//     *ckpt.Codec, or a call handing one to a helper (codec-visiting
+//     helpers such as vt.CheckpointEpoch take the codec as an argument),
 //     (b) any report emission (analysis.Accumulator.Report), and
 //     (c) any append to a slice declared before the loop that is not
 //     sorted afterwards in the same function. The blessed pattern is
@@ -101,12 +103,12 @@ func detrangeFunc(pass *Pass, fd *ast.FuncDecl) {
 			if !ok {
 				return true
 			}
-			// Sink (a): checkpoint encoder write.
+			// Sink (a): checkpoint encoder or codec write.
+			if writesCheckpoint(info, call) {
+				pass.Reportf(call.Pos(), "checkpoint write inside range over map %s: map iteration order is random, so resumed runs would not be byte-identical; collect keys, sort, then encode", exprString(pass.Pkg.Fset(), rng.X))
+				return true
+			}
 			if recv := recvExpr(call); recv != nil {
-				if rt := info.Types[recv].Type; namedIn(rt, "ckpt", "Enc") {
-					pass.Reportf(call.Pos(), "checkpoint write inside range over map %s: map iteration order is random, so resumed runs would not be byte-identical; collect keys, sort, then encode", exprString(pass.Pkg.Fset(), rng.X))
-					return true
-				}
 				// Sink (b): report emission into an accumulator.
 				if fn := calleeOf(info, call); fn != nil && fn.Name() == "Report" {
 					if rt := info.Types[recv].Type; namedIn(rt, "analysis", "Accumulator") {
@@ -134,6 +136,21 @@ func detrangeFunc(pass *Pass, fd *ast.FuncDecl) {
 		})
 		return true
 	})
+}
+
+// writesCheckpoint reports whether call writes checkpoint state: its
+// receiver or one of its arguments is a *ckpt.Enc or *ckpt.Codec.
+func writesCheckpoint(info *types.Info, call *ast.CallExpr) bool {
+	exprs := call.Args
+	if recv := recvExpr(call); recv != nil {
+		exprs = append([]ast.Expr{recv}, exprs...)
+	}
+	for _, x := range exprs {
+		if t := info.Types[x].Type; namedIn(t, "ckpt", "Enc") || namedIn(t, "ckpt", "Codec") {
+			return true
+		}
+	}
+	return false
 }
 
 // sortedAfter reports whether fd contains, after the range statement,

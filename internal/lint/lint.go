@@ -12,16 +12,14 @@
 // source via importer.ForCompiler(fset, "source", nil). That keeps
 // `go run ./cmd/tcvet ./...` working in an offline sandbox.
 //
-// The four analyzers and the invariants they encode:
+// The three analyzers and the invariants they encode:
 //
 //   - refpair (refpair.go): snapshot references acquired from a
 //     SnapStore must reach Drop or a documented ownership transfer on
 //     every path.
-//   - ckptsym (ckptsym.go): paired save/load functions must Enc/Dec
-//     the same wire-type sequence, counts before elements.
 //   - detrange (detrange.go): no unsorted map iteration may flow into
-//     encoders, reports, or accumulated slices; no wall-clock or
-//     math/rand in replica-deterministic packages.
+//     checkpoint encoders or codecs, reports, or accumulated slices; no
+//     wall-clock or math/rand in replica-deterministic packages.
 //   - clockgrow (clockgrow.go): no Inc on a freshly created clock slot
 //     without a dominating Grow/Init or capacity guard.
 package lint
@@ -66,7 +64,7 @@ type Diagnostic struct {
 // A Package is one type-checked package: its syntax, its types, and a
 // back-pointer to the program it was loaded into.
 type Package struct {
-	Path  string // import path ("treeclock/internal/vt", or corpus path "ckptsym")
+	Path  string // import path ("treeclock/internal/vt", or corpus path "detrange")
 	Files []*ast.File
 	Types *types.Package
 	prog  *Program
@@ -80,13 +78,12 @@ func (p *Package) Info() *types.Info { return p.prog.Info }
 
 // A Program is a set of type-checked packages sharing one FileSet and
 // one types.Info, so analyzers can follow references across package
-// boundaries (ckptsym inlines helper save/load functions this way).
+// boundaries.
 type Program struct {
 	Fset *token.FileSet
 	Info *types.Info
 
-	pkgs  map[string]*Package         // by import path
-	decls map[token.Pos]*ast.FuncDecl // func name pos -> decl, all packages
+	pkgs map[string]*Package // by import path
 }
 
 // Packages returns all loaded local packages, sorted by import path.
@@ -102,28 +99,6 @@ func (prog *Program) Packages() []*Package {
 
 // Package returns the loaded package with the given import path, or nil.
 func (prog *Program) Package(path string) *Package { return prog.pkgs[path] }
-
-// FuncDecl resolves a types.Func to its declaration, if the declaring
-// package was loaded from source. Generic instantiations resolve to
-// the origin declaration. Returns nil for stdlib or interface methods.
-func (prog *Program) FuncDecl(fn *types.Func) *ast.FuncDecl {
-	if fn == nil {
-		return nil
-	}
-	if prog.decls == nil {
-		prog.decls = make(map[token.Pos]*ast.FuncDecl)
-		for _, pkg := range prog.pkgs {
-			for _, f := range pkg.Files {
-				for _, d := range f.Decls {
-					if fd, ok := d.(*ast.FuncDecl); ok {
-						prog.decls[fd.Name.Pos()] = fd
-					}
-				}
-			}
-		}
-	}
-	return prog.decls[fn.Origin().Pos()]
-}
 
 // Run applies each analyzer to each of the given packages and returns
 // the diagnostics sorted by position. Diagnostics in _test.go files
@@ -160,7 +135,7 @@ func Run(prog *Program, analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, e
 	return diags, nil
 }
 
-// All returns the four tcvet analyzers in their canonical order.
+// All returns the three tcvet analyzers in their canonical order.
 func All() []*Analyzer {
-	return []*Analyzer{Refpair, Ckptsym, Detrange, Clockgrow}
+	return []*Analyzer{Refpair, Detrange, Clockgrow}
 }

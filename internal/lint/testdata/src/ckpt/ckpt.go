@@ -1,6 +1,6 @@
 // Package ckpt is a corpus stub of the real internal/ckpt API: the
-// analyzers identify Enc/Dec by type name and package name, so this
-// stub is matched exactly like the real encoder.
+// analyzers identify Enc/Dec/Codec by type name and package name, so
+// this stub is matched exactly like the real encoder.
 package ckpt
 
 type Enc struct{ b []byte }
@@ -40,3 +40,16 @@ func (d *Dec) Cap(n int) int                  { return 0 }
 func (d *Dec) Count() int                     { return 0 }
 func (d *Dec) Err() error                     { return nil }
 func (d *Dec) Corruptf(f string, args ...any) {}
+
+type Codec struct{ e *Enc }
+
+func (c *Codec) Loading() bool        { return false }
+func (c *Codec) Begin(name string)    {}
+func (c *Codec) End()                 {}
+func (c *Codec) U8(p *uint8)          {}
+func (c *Codec) U64(p *uint64)        {}
+func (c *Codec) Uvarint(p *uint64)    {}
+func (c *Codec) Int32(p *int32)       {}
+func (c *Codec) Bool(p *bool)         {}
+func (c *Codec) Len(p *int, size int) {}
+func (c *Codec) Err() error           { return nil }

@@ -52,6 +52,41 @@ func encodeSorted(e *ckpt.Enc, m map[uint64]uint32) {
 	}
 }
 
+// True positive: visiting map entries through a codec writes them in
+// random order on save.
+func codecMap(c *ckpt.Codec, m map[uint64]uint32) {
+	for k, v := range m {
+		c.Uvarint(&k) // want `map iteration order is random`
+		x := int32(v)
+		c.Int32(&x) // want `map iteration order is random`
+	}
+}
+
+// True positive: a helper that takes the codec writes just the same.
+func codecHelper(c *ckpt.Codec, m map[uint64]bool) {
+	for k := range m {
+		visitKey(c, k) // want `map iteration order is random`
+	}
+}
+
+func visitKey(c *ckpt.Codec, k uint64) { c.Uvarint(&k) }
+
+// Near-miss: the codec visits keys collected and sorted first.
+func codecSorted(c *ckpt.Codec, m map[uint64]uint32) {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	n := len(keys)
+	c.Len(&n, 1)
+	for _, k := range keys {
+		x := int32(m[k])
+		c.Uvarint(&k)
+		c.Int32(&x)
+	}
+}
+
 // Near-miss: scratch declared inside the loop body is per-iteration
 // state, not order-dependent accumulation.
 func perKeyScratch(m map[uint64][]uint32) int {

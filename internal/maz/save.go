@@ -1,111 +1,53 @@
 package maz
 
 import (
-	"io"
-
 	"treeclock/internal/ckpt"
 	"treeclock/internal/engine"
 	"treeclock/internal/vt"
 )
 
-// Snapshot implements engine.CheckpointSemantics: the full Algorithm 5
-// per-variable state — last-write clock and thread, per-thread read
-// clocks, and the pending-reader set LRDs.
-func (s *Semantics[C]) Snapshot(rt *engine.Runtime[C], w io.Writer) error {
-	e := ckpt.NewEnc(w)
-	e.Begin("maz")
-	e.Uvarint(uint64(len(s.vars)))
-	for i := range s.vars {
-		vs := &s.vars[i]
-		e.Bool(vs.lwSet)
-		if vs.lwSet {
-			e.Int32(int32(vs.lwT))
-			vs.lw.Save(e)
-		}
-		e.Uvarint(uint64(len(vs.rd)))
-		for t := range vs.rd {
-			e.Bool(vs.rdSet[t])
-			if vs.rdSet[t] {
-				vs.rd[t].Save(e)
-			}
-		}
-		for _, b := range vs.inLRD {
-			e.Bool(b)
-		}
-		e.Uvarint(uint64(len(vs.lrds)))
-		for _, t := range vs.lrds {
-			e.Int32(int32(t))
-		}
-	}
-	e.End()
-	return e.Err()
-}
-
-// Restore implements engine.CheckpointSemantics. Clocks are recreated
-// through the runtime's factory; LRDs entries are validated against
-// the allocated read-clock set, since a write indexes the read clocks
+// Checkpoint implements engine.CheckpointSemantics: the full Algorithm
+// 5 per-variable state — last-write clock and thread, per-thread read
+// clocks, and the pending-reader set LRDs. A load recreates clocks
+// through the runtime's factory and validates LRDs entries against the
+// allocated read-clock set, since a write indexes the read clocks
 // through them.
-func (s *Semantics[C]) Restore(rt *engine.Runtime[C], r io.Reader) error {
-	d := ckpt.NewDec(r)
-	d.Begin("maz")
-	nv := d.Len(1)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	vars := make([]varState[C], nv)
-	for i := range vars {
-		vs := &vars[i]
-		vs.lwSet = d.Bool()
+func (s *Semantics[C]) Checkpoint(rt *engine.Runtime[C], c *ckpt.Codec) error {
+	c.Begin("maz")
+	ckpt.Slice(c, &s.vars, 1)
+	for i := 0; i < len(s.vars) && c.Err() == nil; i++ {
+		vs := &s.vars[i]
+		c.Bool(&vs.lwSet)
 		if vs.lwSet {
-			vs.lwT = vt.LoadTID(d)
-			if d.Err() != nil {
-				return d.Err()
+			vt.CheckpointTID(c, &vs.lwT)
+			if c.Loading() && c.Err() == nil {
+				vs.lw = rt.NewClock()
 			}
-			vs.lw = rt.NewClock()
-			vs.lw.Load(d)
+			c.Clock(vs.lw)
 		}
-		nr := d.Len(1)
-		if d.Err() != nil {
-			return d.Err()
+		ckpt.Slice(c, &vs.rd, 1)
+		if c.Loading() && vs.rd != nil {
+			vs.rdSet, vs.inLRD = make([]bool, len(vs.rd)), make([]bool, len(vs.rd))
 		}
-		if nr > 0 {
-			vs.rd = make([]C, nr)
-			vs.rdSet = make([]bool, nr)
-			vs.inLRD = make([]bool, nr)
-		}
-		for t := 0; t < nr; t++ {
-			if d.Bool() {
-				c := rt.NewClock()
-				c.Load(d)
-				vs.rd[t], vs.rdSet[t] = c, true
-			}
-			if d.Err() != nil {
-				return d.Err()
+		for t := 0; t < len(vs.rd) && c.Err() == nil; t++ {
+			c.Bool(&vs.rdSet[t])
+			if vs.rdSet[t] {
+				if c.Loading() {
+					vs.rd[t] = rt.NewClock()
+				}
+				c.Clock(vs.rd[t])
 			}
 		}
-		for t := 0; t < nr; t++ {
-			vs.inLRD[t] = d.Bool()
+		for t := range vs.inLRD {
+			c.Bool(&vs.inLRD[t])
 		}
-		nl := d.Len(1)
-		if d.Err() != nil {
-			return d.Err()
-		}
-		for j := 0; j < nl; j++ {
-			t := vt.LoadTID(d)
-			if d.Err() != nil {
-				return d.Err()
-			}
-			if int(t) >= nr || !vs.rdSet[t] {
-				d.Corruptf("pending reader t%d has no read clock", t)
-				return d.Err()
-			}
-			vs.lrds = append(vs.lrds, t)
+		ckpt.Slice(c, &vs.lrds, 1)
+		for j := 0; j < len(vs.lrds) && c.Err() == nil; j++ {
+			vt.CheckpointTID(c, &vs.lrds[j])
+			t := vs.lrds[j]
+			c.Check(c.Err() != nil || (int(t) < len(vs.rd) && vs.rdSet[t]), "pending reader has no read clock")
 		}
 	}
-	d.End()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	s.vars = vars
-	return nil
+	c.End()
+	return c.Err()
 }

@@ -14,10 +14,10 @@ package registry
 
 import (
 	"fmt"
-	"io"
 	"slices"
 
 	"treeclock/internal/analysis"
+	"treeclock/internal/ckpt"
 	"treeclock/internal/core"
 	"treeclock/internal/engine"
 	"treeclock/internal/hb"
@@ -103,8 +103,7 @@ type Engine interface {
 	Acc() *analysis.Accumulator
 	Finish() (analysis.Summary, []analysis.Pair, []vt.Vector)
 	Checkpointable() bool
-	Snapshot(w io.Writer) error
-	Restore(r io.Reader) error
+	Checkpoint(c *ckpt.Codec) error
 }
 
 // Build instantiates the engine of one registry entry. It fails when
@@ -202,13 +201,12 @@ func (a *adapter[C]) ProcessSource(src trace.EventSource) error {
 func (a *adapter[C]) ProcessBatchAt(base uint64, events []trace.Event) {
 	a.rt.ProcessBatchAt(base, events)
 }
-func (a *adapter[C]) Events() uint64               { return a.rt.Events() }
-func (a *adapter[C]) Meta() trace.Meta             { return a.rt.Meta() }
-func (a *adapter[C]) Mem() (engine.MemStats, bool) { return a.rt.MemStats() }
-func (a *adapter[C]) Acc() *analysis.Accumulator   { return a.acc }
-func (a *adapter[C]) Checkpointable() bool         { return a.rt.Checkpointable() }
-func (a *adapter[C]) Snapshot(w io.Writer) error   { return a.rt.Snapshot(w) }
-func (a *adapter[C]) Restore(r io.Reader) error    { return a.rt.Restore(r) }
+func (a *adapter[C]) Events() uint64                 { return a.rt.Events() }
+func (a *adapter[C]) Meta() trace.Meta               { return a.rt.Meta() }
+func (a *adapter[C]) Mem() (engine.MemStats, bool)   { return a.rt.MemStats() }
+func (a *adapter[C]) Acc() *analysis.Accumulator     { return a.acc }
+func (a *adapter[C]) Checkpointable() bool           { return a.rt.Checkpointable() }
+func (a *adapter[C]) Checkpoint(c *ckpt.Codec) error { return a.rt.Checkpoint(c) }
 
 // Finish returns the analysis outcome and every thread's final vector
 // time under the entry's order.

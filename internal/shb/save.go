@@ -1,54 +1,29 @@
 package shb
 
 import (
-	"io"
-
 	"treeclock/internal/ckpt"
 	"treeclock/internal/engine"
 )
 
-// Snapshot implements engine.CheckpointSemantics: the per-variable
-// last-write clocks, lazily allocated exactly as during the run.
-func (s *Semantics[C]) Snapshot(rt *engine.Runtime[C], w io.Writer) error {
-	e := ckpt.NewEnc(w)
-	e.Begin("shb")
-	e.Uvarint(uint64(len(s.lw)))
-	for x := range s.lw {
-		e.Bool(s.lwSet[x])
+// Checkpoint implements engine.CheckpointSemantics: the per-variable
+// last-write clocks, lazily allocated exactly as during the run. A
+// load recreates each clock through the runtime's factory (sharing its
+// work-stats binding) and loads it in place.
+func (s *Semantics[C]) Checkpoint(rt *engine.Runtime[C], c *ckpt.Codec) error {
+	c.Begin("shb")
+	ckpt.Slice(c, &s.lw, 1)
+	if c.Loading() {
+		s.lwSet = make([]bool, len(s.lw))
+	}
+	for x := 0; x < len(s.lw) && c.Err() == nil; x++ {
+		c.Bool(&s.lwSet[x])
 		if s.lwSet[x] {
-			s.lw[x].Save(e)
+			if c.Loading() {
+				s.lw[x] = rt.NewClock()
+			}
+			c.Clock(s.lw[x])
 		}
 	}
-	e.End()
-	return e.Err()
-}
-
-// Restore implements engine.CheckpointSemantics. Last-write clocks are
-// recreated through the runtime's factory (sharing its work-stats
-// binding) and loaded in place.
-func (s *Semantics[C]) Restore(rt *engine.Runtime[C], r io.Reader) error {
-	d := ckpt.NewDec(r)
-	d.Begin("shb")
-	n := d.Len(1)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	lw := make([]C, n)
-	lwSet := make([]bool, n)
-	for x := 0; x < n; x++ {
-		if d.Bool() {
-			c := rt.NewClock()
-			c.Load(d)
-			lw[x], lwSet[x] = c, true
-		}
-		if d.Err() != nil {
-			return d.Err()
-		}
-	}
-	d.End()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	s.lw, s.lwSet = lw, lwSet
-	return nil
+	c.End()
+	return c.Err()
 }

@@ -22,26 +22,40 @@ package trace
 // injector.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"treeclock/internal/ckpt"
 	"treeclock/internal/vt"
 )
 
 // CheckpointableSource is an EventSource whose decode state can be
-// serialized into a checkpoint and later restored over a fresh reader
-// of the same input. SnapshotSource appends one or more sections to e;
-// RestoreSource consumes exactly those sections from d and, for
-// reader-backed sources, skips the already-delivered prefix of the
-// fresh underlying reader. On a restore error the source must be
-// discarded.
+// visited in a checkpoint and later restored over a fresh reader of the
+// same input. CheckpointSource visits one or more sections; a load
+// consumes exactly those sections and, for reader-backed sources, skips
+// the already-delivered prefix of the fresh underlying reader. On a
+// load error the source must be discarded.
 type CheckpointableSource interface {
 	EventSource
-	SnapshotSource(e *ckpt.Enc) error
-	RestoreSource(d *ckpt.Dec) error
+	CheckpointSource(c *ckpt.Codec) error
+}
+
+// errNotCheckpointable reports a wrapped source without checkpoint
+// support.
+func errNotCheckpointable(src EventSource) error {
+	return fmt.Errorf("trace: source %T does not support checkpointing", src)
+}
+
+// checkpointInner delegates to a wrapped source.
+func checkpointInner(src EventSource, c *ckpt.Codec) error {
+	cs, ok := src.(CheckpointableSource)
+	if !ok {
+		return errNotCheckpointable(src)
+	}
+	return cs.CheckpointSource(c)
 }
 
 // discardPrefix skips exactly n already-delivered bytes of r.
@@ -55,393 +69,221 @@ func discardPrefix(r io.Reader, n int64) error {
 	return nil
 }
 
-// saveIntern serializes one interner table: the id counter, the
+// checkpoint visits one interner table: the id counter, the
 // direct-index prefix, the map-interned names in id order and the
-// nonzero slots of the direct-index array. Canonical names live only
-// in the array, so the two encodings together are the whole table.
-func saveIntern(e *ckpt.Enc, in *intern) {
-	e.Int32(in.count)
-	e.U8(in.fastPrefix)
-	type kv struct {
-		name string
+// nonzero slots of the direct-index array (canonical names live only in
+// the array, so the two encodings together are the whole table), then
+// the eviction state. A load replaces everything but the configured
+// cap, and requires ids in the strictly increasing order a save writes
+// (so a re-saved table is byte-identical).
+func (in *intern) checkpoint(c *ckpt.Codec) {
+	c.Int32(&in.count)
+	c.U8(&in.fastPrefix)
+	if !c.Check(in.count >= 0, "negative interner count %d", in.count) {
+		return
+	}
+	type named struct {
 		id   int32
+		name string
 	}
-	kvs := make([]kv, 0, len(in.ids))
-	for name, id := range in.ids {
-		kvs = append(kvs, kv{name, id})
+	type slot struct {
+		idx int
+		v   int32
 	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].id < kvs[j].id })
-	e.Uvarint(uint64(len(kvs)))
-	for _, p := range kvs {
-		e.Int32(p.id)
-		e.String(p.name)
-	}
-	e.Uvarint(uint64(len(in.fast)))
-	nz := 0
-	for _, v := range in.fast {
-		if v != 0 {
-			nz++
+	var names []named
+	var slots []slot
+	if !c.Loading() {
+		for name, id := range in.ids {
+			names = append(names, named{id, name})
+		}
+		slices.SortFunc(names, func(a, b named) int { return cmp.Compare(a.id, b.id) })
+		for i, v := range in.fast {
+			if v != 0 {
+				slots = append(slots, slot{i, v})
+			}
 		}
 	}
-	e.Uvarint(uint64(nz))
-	for i, v := range in.fast {
-		if v != 0 {
-			e.Uvarint(uint64(i))
-			e.Int32(v)
+	ckpt.Slice(c, &names, 2)
+	if c.Loading() {
+		in.ids = make(map[string]int32, len(names))
+	}
+	prev := int32(-1)
+	for i := range names {
+		c.Int32(&names[i].id)
+		c.String(&names[i].name)
+		if !c.Check(names[i].id > prev && names[i].id < in.count, "interned id out of order") {
+			return
 		}
+		prev = names[i].id
+		if c.Loading() {
+			in.ids[names[i].name] = names[i].id
+		}
+	}
+	nf := len(in.fast)
+	c.Count(&nf)
+	if !c.Check(nf <= fastLimit, "fast table length %d exceeds %d", nf, fastLimit) || !ckpt.Slice(c, &slots, 2) {
+		return
+	}
+	if c.Loading() {
+		in.fast = nil
+		if nf > 0 {
+			in.fast = make([]int32, nf)
+		}
+	}
+	previ := -1
+	for i := range slots {
+		sl := &slots[i]
+		c.Count(&sl.idx)
+		c.Int32(&sl.v)
+		if !c.Check(sl.idx > previ && sl.idx < nf && sl.v > 0 && sl.v <= in.count, "fast table entry out of range") {
+			return
+		}
+		previ = sl.idx
+		in.fast[sl.idx] = sl.v
 	}
 	// Eviction state (SetInternCap): the recency ticks are behavioural
 	// state — they steer future evictions — so a resumed run needs them
-	// to evict the same names the uninterrupted run would.
-	e.Bool(in.last != nil)
-	if in.last != nil {
-		e.Uvarint(in.tick)
-		e.U64(in.evictions)
-		ids := make([]int32, 0, len(in.last))
-		for id := range in.last {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		e.Uvarint(uint64(len(ids)))
-		for _, id := range ids {
-			e.Int32(id)
-			e.Uvarint(in.last[id])
-		}
+	// to evict the same names the uninterrupted run would. The cap is
+	// scanner configuration, not checkpoint state: a checkpoint taken
+	// with eviction on carries recency tables and must resume with a cap
+	// (and vice versa).
+	evict := in.last != nil
+	c.Bool(&evict)
+	if !c.Check(evict == (in.cap > 0), "intern-cap configuration mismatch (checkpoint eviction %v, scanner cap %d)", evict, in.cap) || !evict {
+		return
 	}
-}
-
-// loadIntern restores one interner table, validating that every id is
-// below the counter and that entries arrive in the strictly increasing
-// order saveIntern writes (so a re-saved table is byte-identical).
-func loadIntern(d *ckpt.Dec) *intern {
-	in := newIntern()
-	in.count = d.Int32()
-	if d.Err() == nil && in.count < 0 {
-		d.Corruptf("negative interner count %d", in.count)
-		return nil
-	}
-	in.fastPrefix = d.U8()
-	nm := d.Len(2)
-	if d.Err() != nil {
-		return nil
-	}
-	prev := int32(-1)
-	for i := 0; i < nm; i++ {
-		id := d.Int32()
-		name := d.String()
-		if d.Err() != nil {
-			return nil
-		}
-		if id <= prev || id >= in.count {
-			d.Corruptf("interned id %d out of order (count %d)", id, in.count)
-			return nil
-		}
-		prev = id
-		in.ids[name] = id
-	}
-	nf := d.Count()
-	if d.Err() != nil {
-		return nil
-	}
-	if nf > fastLimit {
-		d.Corruptf("fast table length %d exceeds %d", nf, fastLimit)
-		return nil
-	}
-	nz := d.Len(2)
-	if d.Err() != nil {
-		return nil
-	}
-	if nf > 0 {
-		in.fast = make([]int32, nf)
-	}
-	previ := -1
-	for i := 0; i < nz; i++ {
-		idx := d.Count()
-		v := d.Int32()
-		if d.Err() != nil {
-			return nil
-		}
-		if idx <= previ || idx >= nf || v <= 0 || v > in.count {
-			d.Corruptf("fast table entry (%d, %d) out of range (len %d, count %d)", idx, v, nf, in.count)
-			return nil
-		}
-		previ = idx
-		in.fast[idx] = v
-	}
-	if d.Bool() {
-		in.tick = d.Uvarint()
-		in.evictions = d.U64()
-		nr := d.Len(2)
-		if d.Err() != nil {
-			return nil
-		}
-		if nr != len(in.ids) {
-			d.Corruptf("recency table of %d entries for %d interned names", nr, len(in.ids))
-			return nil
-		}
-		in.last = make(map[int32]uint64, nr)
-		in.names = make(map[int32]string, nr)
-		prev = -1
-		for i := 0; i < nr; i++ {
-			id := d.Int32()
-			tk := d.Uvarint()
-			if d.Err() != nil {
-				return nil
-			}
-			if id <= prev || id >= in.count || tk > in.tick {
-				d.Corruptf("recency entry (%d, %d) out of range (count %d, tick %d)", id, tk, in.count, in.tick)
-				return nil
-			}
-			prev = id
-			in.last[id] = tk
-		}
+	c.Uvarint(&in.tick)
+	c.U64(&in.evictions)
+	if c.Loading() {
+		in.names = make(map[int32]string, len(in.ids))
 		for name, id := range in.ids {
-			if _, ok := in.last[id]; !ok {
-				d.Corruptf("interned id %d has no recency entry", id)
-				return nil
-			}
 			in.names[id] = name
 		}
 	}
-	return in
+	// Every recency entry names an interned id and the counts match, so
+	// every interned id has exactly one entry.
+	ckpt.Map(c, &in.last, 2, func(c *ckpt.Codec, id *int32, tk *uint64) {
+		c.Int32(id)
+		c.Uvarint(tk)
+		_, named := in.names[*id]
+		c.Check(named && *tk <= in.tick, "recency entry for an unknown id or beyond the tick")
+	})
+	c.Check(len(in.last) == len(in.ids), "recency table of %d entries for %d interned names", len(in.last), len(in.ids))
 }
 
-// SnapshotSource implements CheckpointableSource: the delivered byte
-// offset, the line counter and the three interner tables.
-func (s *Scanner) SnapshotSource(e *ckpt.Enc) error {
-	e.Begin("scanner")
-	e.Svarint(s.consumed - int64(s.end-s.pos))
-	e.Uvarint(uint64(s.line))
-	saveIntern(e, s.threads)
-	saveIntern(e, s.locks)
-	saveIntern(e, s.vars)
-	e.End()
-	return e.Err()
-}
-
-// RestoreSource implements CheckpointableSource over a fresh reader of
-// the same input: the already-delivered prefix is skipped and decoding
-// resumes at the first unconsumed line.
-func (s *Scanner) RestoreSource(d *ckpt.Dec) error {
-	d.Begin("scanner")
-	off := d.Svarint()
-	if d.Err() == nil && off < 0 {
-		d.Corruptf("negative stream offset %d", off)
-	}
-	line := d.Uvarint()
-	threads := loadIntern(d)
-	locks := loadIntern(d)
-	vars := loadIntern(d)
-	d.End()
-	if err := d.Err(); err != nil {
+// resume fast-forwards a reader-backed source's fresh input past the
+// off bytes a checkpoint had delivered.
+func resume(r io.Reader, consumed *int64, off int64) error {
+	if err := discardPrefix(r, off); err != nil {
 		return err
 	}
-	// The intern cap is scanner configuration, not checkpoint state: a
-	// checkpoint taken with eviction on carries recency tables and must
-	// resume with a cap (and vice versa), and the loaded tables inherit
-	// the configured cap.
-	for _, p := range [...]struct {
-		loaded *intern
-		cap    int
-	}{{threads, s.threads.cap}, {locks, s.locks.cap}, {vars, s.vars.cap}} {
-		if (p.loaded.last != nil) != (p.cap > 0) {
-			return fmt.Errorf("trace: resume: intern-cap configuration mismatch (checkpoint eviction %v, scanner cap %d): %w",
-				p.loaded.last != nil, p.cap, ckpt.ErrCorrupt)
-		}
-		p.loaded.cap = p.cap
-	}
-	if err := discardPrefix(s.r, off); err != nil {
-		return err
-	}
-	s.consumed = off
-	s.pos, s.end = 0, 0
-	s.eof, s.readErr, s.empty, s.err = false, nil, 0, nil
-	s.line = int(line)
-	s.threads, s.locks, s.vars = threads, locks, vars
+	*consumed = off
 	return nil
 }
 
-// SnapshotSource implements CheckpointableSource: the delivered byte
-// offset (header included) plus the decoded header and event counters.
-func (s *BinaryScanner) SnapshotSource(e *ckpt.Enc) error {
-	e.Begin("binscanner")
-	e.Svarint(s.consumed - int64(s.end-s.pos))
-	e.Bool(s.started)
-	e.String(s.meta.Name)
-	e.Int(s.meta.Threads)
-	e.Int(s.meta.Locks)
-	e.Int(s.meta.Vars)
-	e.U64(s.total)
-	e.U64(s.read)
-	e.End()
-	return e.Err()
+// CheckpointSource implements CheckpointableSource: the delivered byte
+// offset, the line counter and the three interner tables. A load runs
+// over a fresh reader of the same input: the already-delivered prefix
+// is skipped and decoding resumes at the first unconsumed line.
+func (s *Scanner) CheckpointSource(c *ckpt.Codec) error {
+	c.Begin("scanner")
+	off, line := s.consumed-int64(s.end-s.pos), uint64(s.line)
+	c.Svarint(&off)
+	c.Check(off >= 0, "negative stream offset %d", off)
+	c.Uvarint(&line)
+	s.threads.checkpoint(c)
+	s.locks.checkpoint(c)
+	s.vars.checkpoint(c)
+	c.End()
+	if err := c.Err(); err != nil || !c.Loading() {
+		return err
+	}
+	s.pos, s.end, s.line = 0, 0, int(line)
+	s.eof, s.readErr, s.empty, s.err = false, nil, 0, nil
+	return resume(s.r, &s.consumed, off)
 }
 
-// RestoreSource implements CheckpointableSource over a fresh reader of
-// the same input. The header is restored from the checkpoint, not
-// re-read: the skipped prefix already covers its bytes.
-func (s *BinaryScanner) RestoreSource(d *ckpt.Dec) error {
-	d.Begin("binscanner")
-	off := d.Svarint()
-	if d.Err() == nil && off < 0 {
-		d.Corruptf("negative stream offset %d", off)
-	}
-	started := d.Bool()
-	var meta Meta
-	meta.Name = d.String()
-	meta.Threads = d.Int()
-	meta.Locks = d.Int()
-	meta.Vars = d.Int()
-	if d.Err() == nil && (meta.Threads < 0 || meta.Locks < 0 || meta.Vars < 0) {
-		d.Corruptf("negative header field (%d threads, %d locks, %d vars)", meta.Threads, meta.Locks, meta.Vars)
-	}
-	total := d.U64()
-	read := d.U64()
-	if d.Err() == nil && read > total {
-		d.Corruptf("read count %d exceeds declared total %d", read, total)
-	}
-	d.End()
-	if err := d.Err(); err != nil {
+// CheckpointSource implements CheckpointableSource: the delivered byte
+// offset (header included) plus the decoded header and event counters.
+// A load restores the header from the checkpoint, not by re-reading
+// it: the skipped prefix already covers its bytes.
+func (s *BinaryScanner) CheckpointSource(c *ckpt.Codec) error {
+	c.Begin("binscanner")
+	off := s.consumed - int64(s.end-s.pos)
+	c.Svarint(&off)
+	c.Check(off >= 0, "negative stream offset %d", off)
+	c.Bool(&s.started)
+	c.String(&s.meta.Name)
+	c.Int(&s.meta.Threads)
+	c.Int(&s.meta.Locks)
+	c.Int(&s.meta.Vars)
+	c.Check(s.meta.Threads >= 0 && s.meta.Locks >= 0 && s.meta.Vars >= 0,
+		"negative header field (%d threads, %d locks, %d vars)", s.meta.Threads, s.meta.Locks, s.meta.Vars)
+	c.U64(&s.total)
+	c.U64(&s.read)
+	c.Check(s.read <= s.total, "read count %d exceeds declared total %d", s.read, s.total)
+	c.End()
+	if err := c.Err(); err != nil || !c.Loading() {
 		return err
 	}
-	if err := discardPrefix(s.r, off); err != nil {
-		return err
-	}
-	s.consumed = off
 	s.pos, s.end = 0, 0
 	s.eof, s.rerr, s.err = false, nil, nil
-	s.started, s.meta, s.total, s.read = started, meta, total, read
-	return nil
+	return resume(s.r, &s.consumed, off)
 }
 
-// SnapshotSource implements CheckpointableSource: the replay cursor.
-func (r *Replayer) SnapshotSource(e *ckpt.Enc) error {
-	e.Begin("replayer")
-	e.Uvarint(uint64(r.pos))
-	e.End()
-	return e.Err()
-}
-
-// RestoreSource implements CheckpointableSource. The Replayer must
-// wrap the same trace the checkpointed one did.
-func (r *Replayer) RestoreSource(d *ckpt.Dec) error {
-	d.Begin("replayer")
-	pos := d.Uvarint()
-	if d.Err() == nil && pos > uint64(len(r.tr.Events)) {
-		d.Corruptf("replay position %d beyond trace length %d", pos, len(r.tr.Events))
+// CheckpointSource implements CheckpointableSource: the replay cursor.
+// A load requires the Replayer to wrap the same trace the checkpointed
+// one did.
+func (r *Replayer) CheckpointSource(c *ckpt.Codec) error {
+	c.Begin("replayer")
+	pos := uint64(r.pos)
+	c.Uvarint(&pos)
+	c.Check(pos <= uint64(len(r.tr.Events)), "replay position %d beyond trace length %d", pos, len(r.tr.Events))
+	c.End()
+	if c.Err() == nil {
+		r.pos = int(pos)
 	}
-	d.End()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	r.pos = int(pos)
-	return nil
+	return c.Err()
 }
 
-// errNotCheckpointable reports a wrapped source without checkpoint
-// support.
-func errNotCheckpointable(src EventSource) error {
-	return fmt.Errorf("trace: source %T does not support checkpointing", src)
-}
-
-// SnapshotSource implements CheckpointableSource: the discipline state
-// (lock holders, thread lifecycle bits, event index), then the wrapped
-// source.
-func (v *Validator) SnapshotSource(e *ckpt.Enc) error {
-	cs, ok := v.src.(CheckpointableSource)
-	if !ok {
+// CheckpointSource implements CheckpointableSource: the discipline
+// state (lock holders, thread lifecycle bits, event index), then the
+// wrapped source.
+func (v *Validator) CheckpointSource(c *ckpt.Codec) error {
+	if _, ok := v.src.(CheckpointableSource); !ok {
 		return errNotCheckpointable(v.src)
 	}
-	e.Begin("validator")
-	e.U64(v.idx)
-	e.Uvarint(uint64(len(v.holder)))
-	for _, h := range v.holder {
-		e.Svarint(int64(h))
+	c.Begin("validator")
+	c.U64(&v.idx)
+	ckpt.Slice(c, &v.holder, 1)
+	for i := range v.holder {
+		c.Int32In((*int32)(&v.holder[i]), int32(vt.None), vt.MaxID, "lock holder")
 	}
-	e.Uvarint(uint64(len(v.started)))
+	ckpt.Slice(c, &v.started, 3)
+	if c.Loading() {
+		v.forked, v.joined = make([]bool, len(v.started)), make([]bool, len(v.started))
+	}
 	for i := range v.started {
-		e.Bool(v.started[i])
-		e.Bool(v.forked[i])
-		e.Bool(v.joined[i])
+		c.Bool(&v.started[i])
+		c.Bool(&v.forked[i])
+		c.Bool(&v.joined[i])
 	}
-	e.End()
-	if err := e.Err(); err != nil {
+	c.End()
+	if err := c.Err(); err != nil {
 		return err
 	}
-	return cs.SnapshotSource(e)
+	v.err = nil
+	return checkpointInner(v.src, c)
 }
 
-// RestoreSource implements CheckpointableSource.
-func (v *Validator) RestoreSource(d *ckpt.Dec) error {
-	cs, ok := v.src.(CheckpointableSource)
-	if !ok {
-		return errNotCheckpointable(v.src)
-	}
-	d.Begin("validator")
-	idx := d.U64()
-	nl := d.Len(1)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	var holder []vt.TID
-	for i := 0; i < nl; i++ {
-		h := d.Svarint()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if h != int64(vt.None) && (h < 0 || h >= vt.MaxID) {
-			d.Corruptf("lock %d held by out-of-range thread %d", i, h)
-			return d.Err()
-		}
-		holder = append(holder, vt.TID(h))
-	}
-	nt := d.Len(3)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	var started, forked, joined []bool
-	if nt > 0 {
-		started = make([]bool, nt)
-		forked = make([]bool, nt)
-		joined = make([]bool, nt)
-	}
-	for i := 0; i < nt; i++ {
-		started[i] = d.Bool()
-		forked[i] = d.Bool()
-		joined[i] = d.Bool()
-	}
-	d.End()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if err := cs.RestoreSource(d); err != nil {
-		return err
-	}
-	v.idx, v.holder, v.started, v.forked, v.joined, v.err = idx, holder, started, forked, joined, nil
-	return nil
-}
-
-// SnapshotSource implements CheckpointableSource by pure delegation:
+// CheckpointSource implements CheckpointableSource by pure delegation:
 // progress reporting is an observer, so it contributes no section of
 // its own and checkpoint bytes are identical with or without it — a
 // checkpoint written under -progress resumes without it and vice
 // versa. The counters are re-derived from the restored trace position
 // (see progressState.StartAt).
-func (p *progressSource) SnapshotSource(e *ckpt.Enc) error {
-	cs, ok := p.src.(CheckpointableSource)
-	if !ok {
-		return errNotCheckpointable(p.src)
-	}
-	return cs.SnapshotSource(e)
-}
-
-// RestoreSource implements CheckpointableSource; see SnapshotSource.
-func (p *progressSource) RestoreSource(d *ckpt.Dec) error {
-	cs, ok := p.src.(CheckpointableSource)
-	if !ok {
-		return errNotCheckpointable(p.src)
-	}
-	return cs.RestoreSource(d)
+func (p *progressSource) CheckpointSource(c *ckpt.Codec) error {
+	return checkpointInner(p.src, c)
 }
 
 // ErrInjectedCrash is the error a CrashSource reports when it cuts the
@@ -512,22 +354,9 @@ func (c *CrashSource) Err() error {
 	return c.src.Err()
 }
 
-// SnapshotSource implements CheckpointableSource by pure delegation.
-func (c *CrashSource) SnapshotSource(e *ckpt.Enc) error {
-	cs, ok := c.src.(CheckpointableSource)
-	if !ok {
-		return errNotCheckpointable(c.src)
-	}
-	return cs.SnapshotSource(e)
-}
-
-// RestoreSource implements CheckpointableSource by pure delegation.
-func (c *CrashSource) RestoreSource(d *ckpt.Dec) error {
-	cs, ok := c.src.(CheckpointableSource)
-	if !ok {
-		return errNotCheckpointable(c.src)
-	}
-	return cs.RestoreSource(d)
+// CheckpointSource implements CheckpointableSource by pure delegation.
+func (c *CrashSource) CheckpointSource(cc *ckpt.Codec) error {
+	return checkpointInner(c.src, cc)
 }
 
 // SetInternCap delegates InternCapable to the wrapped source (a no-op

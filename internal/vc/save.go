@@ -1,34 +1,20 @@
 package vc
 
-import (
-	"treeclock/internal/ckpt"
-	"treeclock/internal/vt"
-)
+import "treeclock/internal/ckpt"
 
-// Save implements vt.Clock: the vector and the foreign-entry revision
-// counter (consumed by the weak-order quiet-release fast path, so it
-// must survive a restore).
-func (c *VectorClock) Save(e *ckpt.Enc) {
-	e.Uvarint(uint64(len(c.v)))
-	for _, t := range c.v {
-		e.Svarint(int64(t))
-	}
-	e.U64(c.rev)
-}
+// Save implements vt.Clock.
+func (c *VectorClock) Save(e *ckpt.Enc) { c.Checkpoint(e.Codec()) }
 
-// Load implements vt.Clock, replacing the clock's contents.
-func (c *VectorClock) Load(d *ckpt.Dec) {
-	n := d.Len(1)
-	if d.Err() != nil {
-		return
+// Load implements vt.Clock.
+func (c *VectorClock) Load(d *ckpt.Dec) { c.Checkpoint(d.Codec()) }
+
+// Checkpoint visits the vector and the foreign-entry revision counter
+// (consumed by the weak-order quiet-release fast path, so it must
+// survive a restore). A load replaces the clock's contents.
+func (c *VectorClock) Checkpoint(cc *ckpt.Codec) {
+	ckpt.Slice(cc, &c.v, 1)
+	for i := range c.v {
+		cc.Int32((*int32)(&c.v[i]))
 	}
-	v := make(vt.Vector, n)
-	for i := range v {
-		v[i] = vt.Time(d.Svarint())
-	}
-	rev := d.U64()
-	if d.Err() != nil {
-		return
-	}
-	c.v, c.rev = v, rev
+	cc.U64(&c.rev)
 }

@@ -9,9 +9,9 @@ package vt
 // segments are arena-indexed, so the object graph — every clock,
 // snapshot and summary that shares a segment — serializes as raw
 // segRef indices, and one dump of the arena (slot contents plus
-// refcounts, SparseStore.SaveState) reconstructs all of the sharing at
-// once. Nothing re-retains on load: the dumped refcounts already count
-// every holder that will be loaded after the store.
+// refcounts, SparseStore.CheckpointState) reconstructs all of the
+// sharing at once. Nothing re-retains on load: the dumped refcounts
+// already count every holder that will be loaded after the store.
 //
 // Capacities are serialized wherever the memory accounting reads cap
 // (FlatWeak vectors, flat free-list buffers, sparse segment
@@ -27,220 +27,138 @@ import "treeclock/internal/ckpt"
 // bounds downstream.
 const MaxID = 1 << 26
 
-// SaveEpoch serializes an epoch (thread id plus local time).
-func SaveEpoch(e *ckpt.Enc, ep Epoch) {
-	e.Int32(int32(ep.T))
-	e.Svarint(int64(ep.Clk))
+// CheckpointTID visits a thread id, rejecting loaded values outside
+// [0, MaxID).
+func CheckpointTID(c *ckpt.Codec, t *TID) { c.Int32In((*int32)(t), 0, MaxID, "thread id") }
+
+// CheckpointEpoch visits an epoch (thread id plus local time). The
+// thread id is range-checked because epochs feed Clock.Get, where a
+// negative id would index out of bounds; the zero epoch round-trips
+// as (0, 0).
+func CheckpointEpoch(c *ckpt.Codec, ep *Epoch) {
+	CheckpointTID(c, &ep.T)
+	c.Int32((*int32)(&ep.Clk))
 }
 
-// LoadEpoch decodes an epoch, rejecting thread ids outside [0, MaxID):
-// epochs feed Clock.Get, where a negative id would index out of
-// bounds. The zero epoch round-trips as (0, 0).
-func LoadEpoch(d *ckpt.Dec) Epoch {
-	t := d.Int32()
-	clk := Time(d.Svarint())
-	if d.Err() != nil {
-		return Epoch{}
-	}
-	if t < 0 || t >= MaxID {
-		d.Corruptf("epoch thread %d out of range", t)
-		return Epoch{}
-	}
-	return Epoch{T: TID(t), Clk: clk}
-}
-
-// LoadTID decodes a thread id, rejecting values outside [0, MaxID).
-func LoadTID(d *ckpt.Dec) TID {
-	t := d.Int32()
-	if d.Err() != nil {
-		return 0
-	}
-	if t < 0 || t >= MaxID {
-		d.Corruptf("thread id %d out of range", t)
-		return 0
-	}
-	return TID(t)
-}
-
-// Save implements Clock for Sparse in materialized form: the sparse
-// clock serves engines as the weak transport (whose state travels
-// through the store, SaveWeak and SaveSnap below), never as the strong
-// backbone, so its Clock-contract checkpoint does not need to preserve
-// segment sharing.
-func (c *Sparse) Save(e *ckpt.Enc) {
-	// The count must be a plain uvarint: Load reads it with Len. (An
-	// earlier version wrote it with Int — zigzag — which doubles every
-	// nonnegative count on the wire; tcvet's ckptsym analyzer now
-	// rejects that mismatch statically.)
-	e.Uvarint(uint64(c.n))
-	e.U64(c.rev)
-	for t := 0; t < c.n; t++ {
-		e.Svarint(int64(c.Get(TID(t))))
-	}
-}
+// Save implements Clock for Sparse.
+func (c *Sparse) Save(e *ckpt.Enc) { c.Checkpoint(e.Codec()) }
 
 // Load implements Clock for Sparse.
-func (c *Sparse) Load(d *ckpt.Dec) {
-	n := d.Len(1)
-	rev := d.U64()
-	if d.Err() != nil {
+func (c *Sparse) Load(d *ckpt.Dec) { c.Checkpoint(d.Codec()) }
+
+// Checkpoint visits a Sparse clock in materialized form, for the Clock
+// contract: the sparse clock serves engines as the weak transport
+// (whose state travels through the store, CheckpointWeak and
+// CheckpointSnap below), never as the strong backbone, so this form
+// does not need to preserve segment sharing. A load replaces the
+// clock's segments, writing each nonzero entry through copy-on-write.
+func (c *Sparse) Checkpoint(cc *ckpt.Codec) {
+	n := c.n
+	cc.Len(&n, 1)
+	cc.U64(&c.rev)
+	if cc.Err() != nil {
 		return
 	}
-	p := c.pl()
-	for _, r := range c.segs {
-		p.release(r)
+	if cc.Loading() {
+		c.dropSegs(make([]segRef, (n+segMask)>>segShift), n)
 	}
-	c.segs = make([]segRef, (n+segMask)>>segShift)
-	c.n = n
-	for t := 0; t < n; t++ {
-		if v := Time(d.Int32()); v != 0 {
+	for t := 0; t < c.n; t++ {
+		v := c.Get(TID(t))
+		cc.Int32((*int32)(&v))
+		if cc.Loading() && v != 0 {
 			c.writable(t >> segShift).vals[t&segMask] = v
 		}
 	}
-	c.rev = rev
 }
 
-// SaveWeak implements WeakClock for FlatWeak: length, capacity (Heap
-// reads cap) and entries.
-func (w *FlatWeak) SaveWeak(e *ckpt.Enc) {
-	e.Uvarint(uint64(len(w.v)))
-	e.Uvarint(uint64(cap(w.v)))
-	for _, t := range w.v {
-		e.Svarint(int64(t))
-	}
-}
-
-// LoadWeak implements WeakClock for FlatWeak.
-func (w *FlatWeak) LoadWeak(d *ckpt.Dec) {
-	n := d.Len(1)
-	c := d.Cap(n)
-	if d.Err() != nil {
-		return
-	}
-	w.v = make(Vector, n, c)
-	for i := range w.v {
-		w.v[i] = Time(d.Int32())
-	}
-}
-
-// SaveWeak implements WeakClock for Sparse: the segment directory is
-// saved as raw arena indices (the matching store's SaveState dumps the
-// arena itself), preserving every share. cap(segs) is saved because
-// Heap reads it.
-func (c *Sparse) SaveWeak(e *ckpt.Enc) {
-	e.Int(c.n)
-	e.U64(c.rev)
-	e.Uvarint(uint64(len(c.segs)))
-	e.Uvarint(uint64(cap(c.segs)))
-	for _, r := range c.segs {
-		e.Uvarint(uint64(r))
-	}
-}
-
-// LoadWeak implements WeakClock for Sparse. The clock must be bound to
-// an already-loaded pool (SnapStore.NewW after LoadState), which is
-// what makes reference validation possible.
-func (c *Sparse) LoadWeak(d *ckpt.Dec) {
-	n := d.Int()
-	rev := d.U64()
-	nb := d.Len(1)
-	cb := d.Cap(nb)
-	if d.Err() != nil {
-		return
-	}
-	if n < 0 || nb != (n+segMask)>>segShift {
-		d.Corruptf("sparse clock directory length %d does not cover %d threads", nb, n)
-		return
-	}
+// dropSegs releases the clock's segments and installs segs (fresh, or
+// loaded raw references) over a logical length of n.
+func (c *Sparse) dropSegs(segs []segRef, n int) {
 	p := c.pl()
 	for _, r := range c.segs {
 		p.release(r)
 	}
-	segs := make([]segRef, nb, cb)
-	for i := range segs {
-		segs[i] = p.loadRef(d)
-	}
-	if d.Err() != nil {
-		return
-	}
-	c.segs, c.n, c.rev = segs, n, rev
+	c.segs, c.n = segs, n
 }
 
-// loadRef decodes one arena reference, rejecting indices outside the
+// CheckpointWeak implements WeakClock for FlatWeak: length, capacity
+// (Heap reads cap) and entries.
+func (w *FlatWeak) CheckpointWeak(c *ckpt.Codec) { checkpointVector(c, &w.v) }
+
+// checkpointVector visits a flat vector with its capacity, which the
+// memory accounting and buffer recycling read.
+func checkpointVector(c *ckpt.Codec, v *Vector) {
+	n, cp := len(*v), cap(*v)
+	c.Len(&n, 1)
+	c.Cap(&cp, n)
+	if c.Err() != nil {
+		return
+	}
+	if c.Loading() {
+		*v = make(Vector, n, cp)
+	}
+	for i := range *v {
+		c.Int32((*int32)(&(*v)[i]))
+	}
+}
+
+// CheckpointWeak implements WeakClock for Sparse: the segment directory
+// as raw arena indices (the matching store's CheckpointState dumps the
+// arena itself), preserving every share; cap(segs) is visited because
+// Heap reads it. A load requires the clock to be bound to an
+// already-loaded pool (SnapStore.NewW after CheckpointState), which is
+// what makes reference validation possible.
+func (c *Sparse) CheckpointWeak(cc *ckpt.Codec) {
+	n, nb, cb := c.n, len(c.segs), cap(c.segs)
+	cc.Int(&n)
+	cc.U64(&c.rev)
+	cc.Len(&nb, 1)
+	cc.Cap(&cb, nb)
+	if !cc.Check(n >= 0 && nb == (n+segMask)>>segShift, "sparse clock directory does not cover its threads") {
+		return
+	}
+	if cc.Loading() {
+		c.dropSegs(make([]segRef, nb, cb), n)
+	}
+	for i := range c.segs {
+		c.pl().ref(cc, &c.segs[i])
+	}
+}
+
+// ref visits one arena reference, rejecting loaded indices outside the
 // carved arena.
-func (p *SegPool) loadRef(d *ckpt.Dec) segRef {
-	r := d.Uvarint()
-	if d.Err() != nil {
-		return 0
-	}
-	if r >= uint64(p.next) && r != 0 {
-		d.Corruptf("segment reference %d outside arena (next %d)", r, p.next)
-		return 0
-	}
-	return segRef(r)
+func (p *SegPool) ref(c *ckpt.Codec, r *segRef) {
+	v := uint64(*r)
+	c.Uvarint(&v)
+	c.Check(v == 0 || v < uint64(p.next), "segment reference outside arena")
+	*r = segRef(v)
 }
 
-// SaveState implements SnapStore for FlatStore: the live-bytes counter
-// and the free list's buffer capacities (contents are dead — Snapshot
-// overwrites a popped buffer — but Heap reads every cap).
-func (f *FlatStore) SaveState(e *ckpt.Enc) {
-	e.U64(f.live)
-	e.Uvarint(uint64(len(f.free)))
-	for _, v := range f.free {
-		e.Uvarint(uint64(cap(v)))
-	}
-}
-
-// LoadState implements SnapStore for FlatStore.
-func (f *FlatStore) LoadState(d *ckpt.Dec) {
-	live := d.U64()
-	n := d.Len(1)
-	if d.Err() != nil {
+// CheckpointState implements SnapStore for FlatStore: the live-bytes
+// counter and the free list's buffer capacities (contents are dead —
+// Snapshot overwrites a popped buffer — but Heap reads every cap).
+func (f *FlatStore) CheckpointState(c *ckpt.Codec) {
+	c.U64(&f.live)
+	if !ckpt.Slice(c, &f.free, 1) ||
+		!c.Check(len(f.free) <= maxFreeSnapshots, "flat free list length %d exceeds cap %d", len(f.free), maxFreeSnapshots) {
 		return
 	}
-	if n > maxFreeSnapshots {
-		d.Corruptf("flat free list length %d exceeds cap %d", n, maxFreeSnapshots)
-		return
-	}
-	f.live = live
-	f.free = make([]Vector, n)
 	for i := range f.free {
-		c := d.Cap(0)
-		if d.Err() != nil {
-			return
+		cp := cap(f.free[i])
+		c.Cap(&cp, 0)
+		if c.Loading() && c.Err() == nil {
+			f.free[i] = make(Vector, cp)
 		}
-		f.free[i] = make(Vector, c)
 	}
 }
 
-// SaveSnap implements SnapStore for FlatStore: a flat snapshot is a
-// plain vector; cap is saved because Heap-style accounting and buffer
-// recycling read it.
-func (f *FlatStore) SaveSnap(e *ckpt.Enc, s *Vector) {
-	e.Uvarint(uint64(len(*s)))
-	e.Uvarint(uint64(cap(*s)))
-	for _, t := range *s {
-		e.Svarint(int64(t))
-	}
-}
+// CheckpointSnap implements SnapStore for FlatStore: a flat snapshot is
+// a plain vector; cap is visited because buffer recycling reads it. A
+// load leaves the live-bytes counter alone: CheckpointState restored it
+// wholesale, already counting every snapshot being reloaded.
+func (f *FlatStore) CheckpointSnap(c *ckpt.Codec, s *Vector) { checkpointVector(c, s) }
 
-// LoadSnap implements SnapStore for FlatStore. The live-bytes counter
-// is not touched: it was saved wholesale by SaveState, which already
-// counted every snapshot being reloaded.
-func (f *FlatStore) LoadSnap(d *ckpt.Dec, s *Vector) {
-	n := d.Len(1)
-	c := d.Cap(n)
-	if d.Err() != nil {
-		return
-	}
-	v := make(Vector, n, c)
-	for i := range v {
-		v[i] = Time(d.Int32())
-	}
-	*s = v
-}
-
-// SaveState implements SnapStore for SparseStore: one dump of the
+// CheckpointState implements SnapStore for SparseStore: one dump of the
 // arena — the carve high-water mark, the free list, and every carved
 // slot's refcount and (for live slots) payload — followed by the
 // per-thread previous-snapshot diff bases and their revision cache.
@@ -248,95 +166,54 @@ func (f *FlatStore) LoadSnap(d *ckpt.Dec, s *Vector) {
 // at once; holders loaded afterwards (weak clocks, history entries,
 // summaries, the diff bases here) store raw indices and never
 // re-retain, because the dumped refcounts already include them.
-func (st *SparseStore) SaveState(e *ckpt.Enc) {
+func (st *SparseStore) CheckpointState(c *ckpt.Codec) {
 	p := &st.pool
-	e.Uvarint(uint64(p.next))
-	e.Uvarint(uint64(len(p.free)))
-	for _, r := range p.free {
-		e.Uvarint(uint64(r))
+	next := uint64(p.next)
+	c.Uvarint(&next)
+	if !c.Check(next != 1 && next <= maxSegRefs, "arena high-water mark %d out of range", next) {
+		return
 	}
-	for r := segRef(1); r < p.next; r++ {
-		s := p.at(r)
-		e.Int32(s.ref)
-		if s.ref > 0 {
-			for _, v := range s.vals {
-				e.Svarint(int64(v))
+	if c.Loading() {
+		*p = SegPool{next: segRef(next)}
+		if next > 1 {
+			p.chunks = make([][]Seg, ((int(next)-1)>>chunkShift)+1)
+			for i := range p.chunks {
+				p.chunks[i] = make([]Seg, chunkLen)
 			}
 		}
 	}
-	e.Uvarint(uint64(len(st.prev)))
-	for i := range st.prev {
-		st.SaveSnap(e, &st.prev[i])
-	}
-	for _, r := range st.prevRev {
-		e.U64(r)
-	}
-}
-
-// LoadState implements SnapStore for SparseStore.
-func (st *SparseStore) LoadState(d *ckpt.Dec) {
-	next := d.Uvarint()
-	if d.Err() != nil {
+	if !ckpt.Slice(c, &p.free, 1) {
 		return
 	}
-	if next == 1 || next > maxSegRefs {
-		d.Corruptf("arena high-water mark %d out of range", next)
-		return
-	}
-	p := &st.pool
-	*p = SegPool{next: segRef(next)}
-	if next > 1 {
-		p.chunks = make([][]Seg, ((int(next)-1)>>chunkShift)+1)
-		for i := range p.chunks {
-			p.chunks[i] = make([]Seg, chunkLen)
-		}
-	}
-	nfree := d.Len(1)
-	if d.Err() != nil {
-		return
-	}
-	p.free = make([]segRef, nfree)
 	for i := range p.free {
-		r := p.loadRef(d)
-		if d.Err() != nil {
+		p.ref(c, &p.free[i])
+		if !c.Check(p.free[i] != 0, "free list holds the reserved slot") {
 			return
 		}
-		if r == 0 {
-			d.Corruptf("free list holds the reserved slot")
-			return
-		}
-		p.free[i] = r
 	}
 	for r := segRef(1); r < p.next; r++ {
 		s := p.at(r)
-		s.ref = d.Int32()
-		if d.Err() != nil {
-			return
-		}
-		if s.ref < 0 {
-			d.Corruptf("segment %d has negative refcount %d", r, s.ref)
+		c.Int32(&s.ref)
+		if !c.Check(s.ref >= 0, "segment has a negative refcount") {
 			return
 		}
 		if s.ref > 0 {
 			for j := range s.vals {
-				s.vals[j] = Time(d.Int32())
+				c.Int32((*int32)(&s.vals[j]))
 			}
 		}
 	}
-	n := d.Count()
-	if d.Err() != nil {
+	if !ckpt.Slice(c, &st.prev, 3) {
 		return
 	}
-	st.prev = make([]SparseSnap, n)
 	for i := range st.prev {
-		st.LoadSnap(d, &st.prev[i])
-		if d.Err() != nil {
-			return
-		}
+		st.CheckpointSnap(c, &st.prev[i])
 	}
-	st.prevRev = make([]uint64, n)
+	if c.Loading() {
+		st.prevRev = make([]uint64, len(st.prev))
+	}
 	for i := range st.prevRev {
-		st.prevRev[i] = d.U64()
+		c.U64(&st.prevRev[i])
 	}
 }
 
@@ -346,41 +223,44 @@ func (st *SparseStore) LoadState(d *ckpt.Dec) {
 // a giant allocation before validation catches up).
 const maxSegRefs = 1 << 26
 
-// SaveSnap implements SnapStore for SparseStore: the out-of-band epoch
-// and the raw segment references (see SaveState for why no sharing
-// metadata is needed).
-func (st *SparseStore) SaveSnap(e *ckpt.Enc, s *SparseSnap) {
-	e.Int32(int32(s.t))
-	e.Int32(int32(s.lt))
-	e.Int32(s.n)
+// CheckpointSnap implements SnapStore for SparseStore: the out-of-band
+// epoch and the raw segment references (see CheckpointState for why
+// no sharing metadata is needed).
+func (st *SparseStore) CheckpointSnap(c *ckpt.Codec, s *SparseSnap) {
+	c.Int32((*int32)(&s.t))
+	c.Int32((*int32)(&s.lt))
+	c.Int32In(&s.n, 0, maxSegRefs+1, "snapshot thread space")
+	if c.Err() != nil {
+		return
+	}
 	nb := (int(s.n) + segMask) >> segShift
+	if c.Loading() && nb > snapInline {
+		s.more = make([]segRef, nb-snapInline)
+	}
 	for i := 0; i < nb; i++ {
-		e.Uvarint(uint64(s.seg(i)))
+		r := s.seg(i)
+		st.pool.ref(c, &r)
+		s.setSeg(i, r)
 	}
 }
 
-// LoadSnap implements SnapStore for SparseStore.
-func (st *SparseStore) LoadSnap(d *ckpt.Dec, s *SparseSnap) {
-	t := TID(d.Int32())
-	lt := Time(d.Int32())
-	n := d.Int32()
-	if d.Err() != nil {
+// CheckpointAccess visits a FastTrack-style access history: the last
+// write and read epochs, then the per-thread read vector, which stays
+// nil until reads first go concurrent.
+func CheckpointAccess(c *ckpt.Codec, w, r *Epoch, shared *Vector) {
+	CheckpointEpoch(c, w)
+	CheckpointEpoch(c, r)
+	has := *shared != nil
+	c.Bool(&has)
+	if !has {
 		return
 	}
-	if n < 0 || n > maxSegRefs {
-		d.Corruptf("snapshot thread space %d out of range", n)
-		return
+	n := len(*shared)
+	c.Len(&n, 1)
+	if c.Loading() && c.Err() == nil {
+		*shared = NewVector(n)
 	}
-	nb := (int(n) + segMask) >> segShift
-	snap := SparseSnap{t: t, lt: lt, n: n}
-	if nb > snapInline {
-		snap.more = make([]segRef, nb-snapInline)
+	for i := range *shared {
+		c.Int32((*int32)(&(*shared)[i]))
 	}
-	for i := 0; i < nb; i++ {
-		snap.setSeg(i, st.pool.loadRef(d))
-	}
-	if d.Err() != nil {
-		return
-	}
-	*s = snap
 }

@@ -48,14 +48,12 @@ type WeakClock[W any, S any] interface {
 	Vector(dst Vector) Vector
 	// Heap approximates the bytes retained by the clock.
 	Heap() uint64
-	// SaveWeak serializes the clock into the open section of e in its
-	// native representation (sharing-preserving for the sparse clock),
-	// for checkpoint/restore. The matching store's state must be saved
-	// before any clock bound to it.
-	SaveWeak(e *ckpt.Enc)
-	// LoadWeak restores state written by SaveWeak. The clock must be
-	// bound to a store whose LoadState already ran. Failures latch in d.
-	LoadWeak(d *ckpt.Dec)
+	// CheckpointWeak visits the clock in its native representation
+	// (sharing-preserving for the sparse clock), for checkpoint/restore.
+	// The matching store's state must be visited before any clock bound
+	// to it; a load requires the clock to be bound to a store whose
+	// CheckpointState already loaded.
+	CheckpointWeak(c *ckpt.Codec)
 }
 
 // SnapStore creates and recycles the release snapshots a weak-order
@@ -103,22 +101,18 @@ type SnapStore[W any, S any] interface {
 	// Heap approximates the bytes parked in the store itself (the
 	// free pool).
 	Heap() uint64
-	// SaveState serializes the store's own state (arenas, free pools,
-	// diff bases) into the open section of e. It must be saved before
-	// any weak clock or snapshot it produced, and preserves sharing:
-	// restoring the store plus every holder reproduces the exact
-	// object graph, refcounts and accounting of the saved run.
-	SaveState(e *ckpt.Enc)
-	// LoadState restores state written by SaveState into an empty
-	// store. Failures latch in d.
-	LoadState(d *ckpt.Dec)
-	// SaveSnap serializes one snapshot (raw references into the
-	// store's already-saved state; nothing is flattened).
-	SaveSnap(e *ckpt.Enc, s *S)
-	// LoadSnap restores a snapshot written by SaveSnap, without
-	// touching refcounts or live accounting — LoadState already
+	// CheckpointState visits the store's own state (arenas, free pools,
+	// diff bases); a load fills an empty store. It must be visited
+	// before any weak clock or snapshot the store produced, and
+	// preserves sharing: restoring the store plus every holder
+	// reproduces the exact object graph, refcounts and accounting of the
+	// saved run.
+	CheckpointState(c *ckpt.Codec)
+	// CheckpointSnap visits one snapshot as raw references into the
+	// store's already-visited state; nothing is flattened, and a load
+	// touches neither refcounts nor live accounting — CheckpointState
 	// restored those wholesale.
-	LoadSnap(d *ckpt.Dec, s *S)
+	CheckpointSnap(c *ckpt.Codec, s *S)
 }
 
 // maxFreeSnapshots caps the flat store's free list: a burst compaction

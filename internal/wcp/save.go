@@ -3,7 +3,7 @@ package wcp
 // Checkpoint serialization for the WCP plugin (see internal/ckpt).
 //
 // The order is load-bearing: the snapshot store's state — for the
-// sparse transport, the whole refcounted segment arena — is written
+// sparse transport, the whole refcounted segment arena — is visited
 // before any weak clock, history entry or summary, because those
 // holders serialize raw arena references and restoring them requires
 // the arena (and its reference-validation bound) to exist first.
@@ -24,9 +24,6 @@ package wcp
 // fixes the absorb order after resume.
 
 import (
-	"io"
-	"sort"
-
 	"treeclock/internal/ckpt"
 	"treeclock/internal/engine"
 	"treeclock/internal/vt"
@@ -49,154 +46,59 @@ func (*noClock) Load(d *ckpt.Dec) {}
 // bound is much tighter than ckpt's generic slice cap).
 const maxFreeChunks = 1 << 20
 
-// Snapshot implements engine.CheckpointSemantics.
-func (s *SemanticsOf[C, W, S, F]) Snapshot(rt *engine.Runtime[C], w io.Writer) error {
-	e := ckpt.NewEnc(w)
-	e.Begin("wcp")
-	e.Int(s.k)
-	e.Bool(s.compact)
-	e.Int(s.liveHist)
-	e.Int(s.peakLockHist)
-	e.U64(s.dropped)
-	e.U64(s.sumEvictions)
-	e.Int(s.sumSweepAt)
-	e.Uvarint(uint64(len(s.histFree)))
-	s.store.SaveState(e)
-	e.Uvarint(uint64(len(s.threads)))
-	for i := range s.threads {
+// Checkpoint implements engine.CheckpointSemantics. A load must run on
+// a freshly constructed semantics (same transport); on error the
+// plugin must be discarded.
+func (s *SemanticsOf[C, W, S, F]) Checkpoint(rt *engine.Runtime[C], c *ckpt.Codec) error {
+	c.Begin("wcp")
+	c.Int(&s.k)
+	c.Bool(&s.compact)
+	c.Int(&s.liveHist)
+	c.Int(&s.peakLockHist)
+	c.U64(&s.dropped)
+	c.U64(&s.sumEvictions)
+	c.Int(&s.sumSweepAt)
+	nfree := len(s.histFree)
+	c.Count(&nfree)
+	if !c.Check(s.k >= 0 && s.k <= vt.MaxID && s.liveHist >= 0 && s.peakLockHist >= 0 && s.sumSweepAt >= 0,
+		"plugin counters (k %d, live %d, peak %d, sweep %d) out of range", s.k, s.liveHist, s.peakLockHist, s.sumSweepAt) ||
+		!c.Check(nfree <= maxFreeChunks, "history free list of %d chunks out of range", nfree) {
+		return c.Err()
+	}
+	s.store.CheckpointState(c)
+	ckpt.Slice(c, &s.threads, 1)
+	for i := 0; i < len(s.threads) && c.Err() == nil; i++ {
 		ts := &s.threads[i]
-		ts.w.SaveWeak(e)
-		e.Uvarint(uint64(len(ts.held)))
+		if c.Loading() {
+			ts.w = s.store.NewW()
+		}
+		ts.w.CheckpointWeak(c)
+		ckpt.Slice(c, &ts.held, 1)
 		for j := range ts.held {
 			cs := &ts.held[j]
-			e.Int32(cs.lock)
-			e.Svarint(int64(cs.acqLT))
-			saveVarSet(e, cs.read)
-			saveVarSet(e, cs.written)
+			c.Int32In(&cs.lock, 0, vt.MaxID, "open section lock")
+			c.Int32((*int32)(&cs.acqLT))
+			checkpointVarSet(c, &cs.read)
+			checkpointVarSet(c, &cs.written)
 		}
 	}
-	e.Uvarint(uint64(len(s.locks)))
-	for l := range s.locks {
-		s.saveLock(e, &s.locks[l])
+	ckpt.Slice(c, &s.locks, 1)
+	for l := 0; l < len(s.locks) && c.Err() == nil; l++ {
+		s.checkpointLock(c, &s.locks[l])
 	}
-	e.Uvarint(uint64(len(s.vars)))
+	ckpt.Slice(c, &s.vars, 1)
 	for i := range s.vars {
 		vs := &s.vars[i]
-		vt.SaveEpoch(e, vs.w)
-		vt.SaveEpoch(e, vs.r)
-		if vs.shared == nil {
-			e.Bool(false)
-			continue
-		}
-		e.Bool(true)
-		e.Uvarint(uint64(len(vs.shared)))
-		for _, c := range vs.shared {
-			e.Svarint(int64(c))
-		}
+		vt.CheckpointAccess(c, &vs.w, &vs.r, &vs.shared)
 	}
-	e.End()
-	return e.Err()
-}
-
-// Restore implements engine.CheckpointSemantics. It must run on a
-// freshly constructed semantics (same transport); on error the plugin
-// must be discarded.
-func (s *SemanticsOf[C, W, S, F]) Restore(rt *engine.Runtime[C], r io.Reader) error {
-	d := ckpt.NewDec(r)
-	d.Begin("wcp")
-	k := d.Int()
-	compact := d.Bool()
-	liveHist := d.Int()
-	peakLockHist := d.Int()
-	dropped := d.U64()
-	sumEvictions := d.U64()
-	sumSweepAt := d.Int()
-	nfree := d.Count()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if k < 0 || k > vt.MaxID || liveHist < 0 || peakLockHist < 0 || sumSweepAt < 0 {
-		d.Corruptf("plugin counters (k %d, live %d, peak %d, sweep %d) out of range",
-			k, liveHist, peakLockHist, sumSweepAt)
-		return d.Err()
-	}
-	if nfree > maxFreeChunks {
-		d.Corruptf("history free list of %d chunks out of range", nfree)
-		return d.Err()
-	}
-	s.store.LoadState(d)
-	nt := d.Len(1)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	threads := make([]threadState[W], nt)
-	for i := range threads {
-		ts := &threads[i]
-		ts.w = s.store.NewW()
-		ts.w.LoadWeak(d)
-		nh := d.Len(1)
-		if d.Err() != nil {
-			return d.Err()
-		}
-		for j := 0; j < nh; j++ {
-			l := d.Int32()
-			if d.Err() == nil && (l < 0 || l >= vt.MaxID) {
-				d.Corruptf("open section lock %d out of range", l)
-			}
-			cs := openCS{lock: l, acqLT: vt.Time(d.Svarint())}
-			cs.read = loadVarSet(d)
-			cs.written = loadVarSet(d)
-			if d.Err() != nil {
-				return d.Err()
-			}
-			ts.held = append(ts.held, cs)
-		}
-	}
-	nl := d.Len(1)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	locks := make([]lockState[W, S], nl)
-	for l := range locks {
-		if err := s.loadLock(d, &locks[l]); err != nil {
-			return err
-		}
-	}
-	nv := d.Len(1)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	vars := make([]accessState, nv)
-	for i := range vars {
-		vs := &vars[i]
-		vs.w = vt.LoadEpoch(d)
-		vs.r = vt.LoadEpoch(d)
-		if d.Bool() {
-			n := d.Len(1)
-			if d.Err() != nil {
-				return d.Err()
-			}
-			vs.shared = vt.NewVector(n)
-			for j := range vs.shared {
-				vs.shared[j] = vt.Time(d.Svarint())
-			}
-		}
-		if d.Err() != nil {
-			return d.Err()
-		}
-	}
-	d.End()
-	if err := d.Err(); err != nil {
+	c.End()
+	if err := c.Err(); err != nil || !c.Loading() {
 		return err
 	}
-	s.k, s.compact = k, compact
-	s.liveHist, s.peakLockHist, s.dropped = liveHist, peakLockHist, dropped
-	s.sumEvictions, s.sumSweepAt = sumEvictions, sumSweepAt
 	s.histFree = nil
 	for i := 0; i < nfree; i++ {
 		s.histFree = append(s.histFree, make([]csEntry[S], histLen))
 	}
-	s.threads, s.locks, s.vars = threads, locks, vars
 	// Derived aging state: the live contribution count and per-lock
 	// holder counts are recomputed from what was just loaded (cheaper
 	// and safer than trusting checkpoint bytes that must agree with the
@@ -210,9 +112,8 @@ func (s *SemanticsOf[C, W, S, F]) Restore(rt *engine.Runtime[C], r io.Reader) er
 	for i := range s.threads {
 		for j := range s.threads[i].held {
 			l := s.threads[i].held[j].lock
-			if int(l) >= len(s.locks) {
-				d.Corruptf("open section lock %d beyond lock space %d", l, len(s.locks))
-				return d.Err()
+			if !c.Check(int(l) < len(s.locks), "open section lock %d beyond lock space %d", l, len(s.locks)) {
+				return c.Err()
 			}
 			s.locks[l].holders++
 		}
@@ -220,201 +121,87 @@ func (s *SemanticsOf[C, W, S, F]) Restore(rt *engine.Runtime[C], r io.Reader) er
 	return nil
 }
 
-// saveLock serializes one lock's state. The history is written with
+// checkpointLock visits one lock's state. The history is visited with
 // its chunk-relative head offset so the restored chunk layout — and
 // with it the timing of future chunk recycling — matches the saved
-// run's exactly.
-func (s *SemanticsOf[C, W, S, F]) saveLock(e *ckpt.Enc, ls *lockState[W, S]) {
-	e.Bool(ls.wSet)
-	ls.w.SaveWeak(e)
-	e.Uvarint(uint64(ls.hist.head))
-	e.Uvarint(uint64(ls.hist.n))
-	for i := 0; i < ls.hist.n; i++ {
-		en := ls.hist.at(i)
-		e.Int32(int32(en.t))
-		e.Svarint(int64(en.acqLT))
-		s.store.SaveSnap(e, &en.rel)
+// run's exactly. A load validates everything that later indexes or
+// scans: the head offset, cursor positions against the history length,
+// the scan caches, and the top-two cursor maxima.
+func (s *SemanticsOf[C, W, S, F]) checkpointLock(c *ckpt.Codec, ls *lockState[W, S]) {
+	c.Bool(&ls.wSet)
+	if c.Loading() {
+		ls.w = s.store.NewW()
 	}
-	e.Uvarint(uint64(len(ls.cursor)))
-	for _, c := range ls.cursor {
-		e.Uvarint(uint64(c))
+	ls.w.CheckpointWeak(c)
+	head, n := ls.hist.head, ls.hist.n
+	c.Count(&head)
+	c.Len(&n, 4)
+	if !c.Check(head < histLen, "history head offset out of range") {
+		return
 	}
-	e.Uvarint(uint64(len(ls.spos)))
-	for i := range ls.spos {
-		sp := &ls.spos[i]
-		e.Int32(sp.idx)
-		e.Int32(int32(sp.t))
-		e.Int32(int32(sp.lt))
-	}
-	e.Int(ls.cmax1)
-	e.Int(ls.cmax2)
-	e.Int32(int32(ls.ctmax))
-	ids := make([]int32, 0, len(ls.sums))
-	for x := range ls.sums {
-		ids = append(ids, x)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.Uvarint(uint64(len(ids)))
-	for _, x := range ids {
-		e.Int32(x)
-		sum := ls.sums[x]
-		s.saveContribs(e, sum.reads)
-		s.saveContribs(e, sum.writes)
-	}
-	e.Int(ls.peak)
-	e.U64(ls.dropped)
-}
-
-// loadLock restores one lock's state, validating everything that later
-// indexes or scans: the head offset, cursor positions against the
-// history length, the scan caches, and the top-two cursor maxima.
-func (s *SemanticsOf[C, W, S, F]) loadLock(d *ckpt.Dec, ls *lockState[W, S]) error {
-	ls.wSet = d.Bool()
-	ls.w = s.store.NewW()
-	ls.w.LoadWeak(d)
-	head := d.Count()
-	n := d.Len(4)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if head >= histLen {
-		d.Corruptf("history head offset %d out of range", head)
-		return d.Err()
-	}
-	ls.hist = histBuf[S]{head: head, n: n}
-	if nchunks := (head + n + histLen - 1) >> histShift; nchunks > 0 {
-		ls.hist.chunks = make([][]csEntry[S], nchunks)
-		for i := range ls.hist.chunks {
-			ls.hist.chunks[i] = make([]csEntry[S], histLen)
+	if c.Loading() {
+		ls.hist = histBuf[S]{head: head, n: n}
+		if nchunks := (head + n + histLen - 1) >> histShift; nchunks > 0 {
+			ls.hist.chunks = make([][]csEntry[S], nchunks)
+			for i := range ls.hist.chunks {
+				ls.hist.chunks[i] = make([]csEntry[S], histLen)
+			}
 		}
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && c.Err() == nil; i++ {
 		en := ls.hist.at(i)
-		en.t = vt.LoadTID(d)
-		en.acqLT = vt.Time(d.Svarint())
-		s.store.LoadSnap(d, &en.rel)
-		if d.Err() != nil {
-			return d.Err()
-		}
+		vt.CheckpointTID(c, &en.t)
+		c.Int32((*int32)(&en.acqLT))
+		s.store.CheckpointSnap(c, &en.rel)
 	}
-	nc := d.Len(1)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	ls.cursor = make([]int, nc)
+	ckpt.Slice(c, &ls.cursor, 1)
 	for t := range ls.cursor {
-		c := d.Count()
-		if d.Err() == nil && c > n {
-			d.Corruptf("rule-(b) cursor %d beyond history length %d", c, n)
-		}
-		ls.cursor[t] = c
+		c.Count(&ls.cursor[t])
+		c.Check(ls.cursor[t] <= n, "rule-(b) cursor beyond history length")
 	}
-	nsp := d.Len(1)
-	if d.Err() != nil {
-		return d.Err()
+	if !ckpt.Slice(c, &ls.spos, 1) || !c.Check(len(ls.spos) == len(ls.cursor), "scan cache length does not match the cursors") {
+		return
 	}
-	if nsp != nc {
-		d.Corruptf("scan cache length %d does not match %d cursors", nsp, nc)
-		return d.Err()
-	}
-	ls.spos = make([]scanPos, nsp)
 	for i := range ls.spos {
 		sp := &ls.spos[i]
-		sp.idx = d.Int32()
-		sp.t = vt.TID(d.Int32())
-		sp.lt = vt.Time(d.Int32())
-		if d.Err() == nil && (sp.idx < 0 || int(sp.idx) > n || sp.t < 0 || sp.t >= vt.MaxID) {
-			d.Corruptf("scan cache entry (%d, t%d) out of range", sp.idx, sp.t)
-		}
+		c.Int32(&sp.idx)
+		c.Int32((*int32)(&sp.t))
+		c.Int32((*int32)(&sp.lt))
+		c.Check(sp.idx >= 0 && int(sp.idx) <= n && sp.t >= 0 && sp.t < vt.MaxID, "scan cache entry out of range")
 	}
-	ls.cmax1 = d.Int()
-	ls.cmax2 = d.Int()
-	ctmax := d.Int32()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if ls.cmax2 < 0 || ls.cmax1 > n || ls.cmax2 > ls.cmax1 || ctmax < int32(vt.None) || ctmax >= vt.MaxID {
-		d.Corruptf("cursor maxima (%d, %d, t%d) inconsistent with history length %d",
-			ls.cmax1, ls.cmax2, ctmax, n)
-		return d.Err()
-	}
+	ctmax := int32(ls.ctmax)
+	c.Int(&ls.cmax1)
+	c.Int(&ls.cmax2)
+	c.Int32In(&ctmax, int32(vt.None), vt.MaxID, "cursor maximum thread")
 	ls.ctmax = vt.TID(ctmax)
-	nsums := d.Len(1)
-	if d.Err() != nil {
-		return d.Err()
+	if !c.Check(ls.cmax2 >= 0 && ls.cmax1 <= n && ls.cmax2 <= ls.cmax1, "cursor maxima inconsistent with history length") {
+		return
 	}
-	if nsums > 0 {
-		ls.sums = make(map[int32]*varSummary[S], nsums)
-	}
-	for i := 0; i < nsums; i++ {
-		x := d.Int32()
-		sum := &varSummary[S]{}
-		var err error
-		if sum.reads, err = s.loadContribs(d); err != nil {
-			return err
+	ckpt.Map(c, &ls.sums, 1, func(c *ckpt.Codec, x *int32, sum **varSummary[S]) {
+		c.Int32(x)
+		if *sum == nil {
+			*sum = &varSummary[S]{}
 		}
-		if sum.writes, err = s.loadContribs(d); err != nil {
-			return err
-		}
-		ls.sums[x] = sum
-	}
-	ls.peak = d.Int()
-	ls.dropped = d.U64()
-	if d.Err() == nil && ls.peak < 0 {
-		d.Corruptf("lock peak history %d negative", ls.peak)
-	}
-	return d.Err()
+		s.checkpointContribs(c, &(*sum).reads)
+		s.checkpointContribs(c, &(*sum).writes)
+	})
+	c.Int(&ls.peak)
+	c.U64(&ls.dropped)
+	c.Check(ls.peak >= 0, "lock peak history negative")
 }
 
-// saveContribs serializes one rule-(a) contribution list in order (the
-// order fixes the absorb sequence after resume).
-func (s *SemanticsOf[C, W, S, F]) saveContribs(e *ckpt.Enc, cs []contrib[S]) {
-	e.Uvarint(uint64(len(cs)))
-	for i := range cs {
-		e.Int32(int32(cs[i].t))
-		s.store.SaveSnap(e, &cs[i].s)
+// checkpointContribs visits one rule-(a) contribution list in order
+// (the order fixes the absorb sequence after resume).
+func (s *SemanticsOf[C, W, S, F]) checkpointContribs(c *ckpt.Codec, cs *[]contrib[S]) {
+	ckpt.Slice(c, cs, 1)
+	for i := 0; i < len(*cs) && c.Err() == nil; i++ {
+		vt.CheckpointTID(c, &(*cs)[i].t)
+		s.store.CheckpointSnap(c, &(*cs)[i].s)
 	}
 }
 
-func (s *SemanticsOf[C, W, S, F]) loadContribs(d *ckpt.Dec) ([]contrib[S], error) {
-	n := d.Len(1)
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	var cs []contrib[S]
-	for i := 0; i < n; i++ {
-		c := contrib[S]{t: vt.LoadTID(d)}
-		s.store.LoadSnap(d, &c.s)
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		cs = append(cs, c)
-	}
-	return cs, nil
-}
-
-// saveVarSet serializes an open section's access set in sorted order;
-// an absent (nil) map round-trips as nil.
-func saveVarSet(e *ckpt.Enc, m map[int32]struct{}) {
-	ids := make([]int32, 0, len(m))
-	for x := range m {
-		ids = append(ids, x)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.Uvarint(uint64(len(ids)))
-	for _, x := range ids {
-		e.Int32(x)
-	}
-}
-
-func loadVarSet(d *ckpt.Dec) map[int32]struct{} {
-	n := d.Len(1)
-	if d.Err() != nil || n == 0 {
-		return nil
-	}
-	m := make(map[int32]struct{}, n)
-	for i := 0; i < n; i++ {
-		m[d.Int32()] = struct{}{}
-	}
-	return m
+// checkpointVarSet visits an open section's access set in sorted
+// order.
+func checkpointVarSet(c *ckpt.Codec, m *map[int32]struct{}) {
+	ckpt.Map(c, m, 1, func(c *ckpt.Codec, x *int32, _ *struct{}) { c.Int32(x) })
 }

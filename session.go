@@ -633,21 +633,13 @@ type feedSource struct {
 func (f *feedSource) Next() (trace.Event, bool) { return trace.Event{}, false }
 func (f *feedSource) Err() error                { return nil }
 
-// SnapshotSource implements trace.CheckpointableSource: the delivered
-// frontier is the entire source state.
-func (f *feedSource) SnapshotSource(e *ckpt.Enc) error {
-	e.Begin("feed")
-	e.U64(f.delivered)
-	e.End()
-	return e.Err()
-}
-
-// RestoreSource implements trace.CheckpointableSource: a push-mode
-// checkpoint restores only into a push-mode session (a pull session's
-// checkpoint carries decoder sections instead and fails here).
-func (f *feedSource) RestoreSource(d *ckpt.Dec) error {
-	d.Begin("feed")
-	f.delivered = d.U64()
-	d.End()
-	return d.Err()
+// CheckpointSource implements trace.CheckpointableSource: the
+// delivered frontier is the entire source state. A push-mode checkpoint
+// restores only into a push-mode session (a pull session's checkpoint
+// carries decoder sections instead and fails here).
+func (f *feedSource) CheckpointSource(c *ckpt.Codec) error {
+	c.Begin("feed")
+	c.U64(&f.delivered)
+	c.End()
+	return c.Err()
 }
