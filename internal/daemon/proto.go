@@ -289,7 +289,7 @@ func encodePos(pos uint64, reason string) ([]byte, error) {
 }
 
 // decodePos unmarshals a position notice frame payload.
-func decodePos(payload []byte) (pos uint64, reason string, err error) {
+func decodePos(payload []byte) (uint64, string, error) {
 	n, err := decode(posCodec, payload)
 	if err != nil {
 		return 0, "", err

@@ -58,17 +58,6 @@ func checkpointInner(src EventSource, c *ckpt.Codec) error {
 	return cs.CheckpointSource(c)
 }
 
-// discardPrefix skips exactly n already-delivered bytes of r.
-func discardPrefix(r io.Reader, n int64) error {
-	if n <= 0 {
-		return nil
-	}
-	if m, err := io.CopyN(io.Discard, r, n); err != nil {
-		return fmt.Errorf("trace: resume: input ends after %d of %d checkpointed bytes: %w", m, n, err)
-	}
-	return nil
-}
-
 // checkpoint visits one interner table: the id counter, the
 // direct-index prefix, the map-interned names in id order and the
 // nonzero slots of the direct-index array (canonical names live only in
@@ -174,8 +163,8 @@ func (in *intern) checkpoint(c *ckpt.Codec) {
 // resume fast-forwards a reader-backed source's fresh input past the
 // off bytes a checkpoint had delivered.
 func resume(r io.Reader, consumed *int64, off int64) error {
-	if err := discardPrefix(r, off); err != nil {
-		return err
+	if m, err := io.CopyN(io.Discard, r, off); err != nil {
+		return fmt.Errorf("trace: resume: input ends after %d of %d checkpointed bytes: %w", m, off, err)
 	}
 	*consumed = off
 	return nil

@@ -89,7 +89,9 @@ type Clock[C any] interface {
 	Save(e *ckpt.Enc)
 	// Load restores state written by Save, replacing the clock's
 	// contents. Failures latch in d as errors wrapping ckpt.ErrCorrupt;
-	// Load never panics on malformed input.
+	// Load never panics on malformed input. The repository's clocks
+	// implement Save and Load as one-line adapters onto one ckpt.Codec
+	// method, so the two cannot disagree on the wire.
 	Load(d *ckpt.Dec)
 }
 
